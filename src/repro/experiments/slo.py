@@ -20,8 +20,8 @@
    each;
 4. **bitwise-verifies** the runner's deterministic response sample: every
    sampled response is compared against the canonical-batch reference of the
-   model version it reports (the row tiled to ``max_batch`` — exactly the
-   execution shape the serving stack pads to);
+   model version it reports (the row tiled to ``max_batch`` — the execution
+   shape whose answers every certified pad size reproduces);
 5. assembles the ``BENCH_slo.json`` payload for the CI perf gate.
 
 Honest gating: a multiprocess fleet on a 1-core runner cannot express
@@ -305,9 +305,9 @@ def run_slo_suite(
         result.elapsed_s = time.perf_counter() - started
 
         # --- bitwise-verify the deterministic response sample --------------- #
-        # Reference: the sampled row tiled to the canonical batch — the exact
-        # execution shape the serving stack pads every micro-batch to, so a
-        # healthy response must match it bit for bit.
+        # Reference: the sampled row tiled to the canonical batch — every
+        # micro-batch runs at that shape or at a size certified to answer
+        # like it, so a healthy response must match it bit for bit.
         by_tick: Dict[int, List[Tuple[int, Tuple[float, float, float, Optional[int]]]]] = {}
         for (tick_index, row_index), response in result.load.samples.items():
             by_tick.setdefault(tick_index, []).append((row_index, response))

@@ -10,7 +10,8 @@ the model and representation memory persist):
   domain_index)``, atomic writes, format-versioned manifests);
 * :class:`PredictionService` / :class:`MicroBatcher` — single-unit ITE
   queries coalesced into batches on the no-graph inference fast path,
-  bit-identical to a direct batched ``predict``; traffic observers
+  padded to a size certified per model to stay bit-identical to a direct
+  batched ``predict`` over ``max_batch`` rows; traffic observers
   (``add_observer``) let :mod:`repro.monitor` tap the query stream for
   drift detection;
 * :class:`ServingGateway` — the multi-tenant front door: deterministic

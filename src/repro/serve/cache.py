@@ -2,8 +2,9 @@
 
 A serving front door sees heavy repetition: the same unit is scored again on
 refresh, dashboards re-ask the head model the same what-if queries, and drift
-replays re-submit whole tapes.  Because the micro-batcher executes every
-query at one canonical batch size, a response is a pure function of
+replays re-submit whole tapes.  Because the prediction service executes
+every query at the canonical batch size or at a size certified to give the
+same answers, a response is a pure function of
 ``(model version, covariate row)`` — which makes responses safely cacheable:
 a hit is *bitwise* the answer a cold query would have produced, and bumping
 the model version changes the key, so stale answers become unreachable

@@ -9,13 +9,16 @@ over loopback sockets with the pickle-free wire protocol of :mod:`.wire`.
 
 Concurrency model: callers stay synchronous (``submit`` returns the familiar
 :class:`~repro.serve.service.PendingPrediction`), while all socket I/O runs
-on one background asyncio event loop.  Each worker gets a small **connection
-pool**, and requests are **pipelined**: a connection carries many in-flight
-queries at once, tagged with request ids, so responses may return out of
-order and the worker's micro-batcher can coalesce queries from every tenant
-into canonical batches.  One stalled tenant therefore never serialises the
-fleet — and one *dead* worker fails only its own streams' queries (typed
-:class:`WorkerUnavailable`) while every other tenant keeps answering.
+on one background asyncio event loop.  ``submit`` only queues the query and,
+if no flush is pending, wakes the loop once; the loop writes everything
+queued since, in submit order, with one socket write per connection.  Each
+worker gets a small **connection pool**, and requests are **pipelined**: a
+connection carries many in-flight queries at once, tagged with request ids,
+so responses may return out of order and the worker's micro-batcher can
+coalesce queries from every tenant into canonical batches.  One stalled
+tenant therefore never serialises the fleet — and one *dead* worker fails
+only its own streams' queries (typed :class:`WorkerUnavailable`) while every
+other tenant keeps answering.
 
 Admission control grows a per-tenant dimension over PR 5's per-shard bound:
 
@@ -245,6 +248,20 @@ class _Connection:
         self.dead = False
 
 
+class _FrameBatch:
+    """Writer stand-in that collects one connection's frames for one write."""
+
+    __slots__ = ("index", "parts", "ids")
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.parts: List[bytes] = []
+        self.ids: List[int] = []
+
+    def write(self, data: bytes) -> None:
+        self.parts.append(data)
+
+
 class _WorkerClient:
     """Loop-side connection pool for one worker (round-robin, lazy dial)."""
 
@@ -344,6 +361,11 @@ class MultiprocGateway:
         #: version each response actually reports (same contract as PR 5).
         self._versions: Dict[str, Optional[int]] = {}
         self._started = clock()
+        # Queries submitted but not yet written, in submit order, and
+        # whether a loop-side flush of them is already scheduled.
+        self._submit_lock = threading.Lock()
+        self._queued: List[Tuple[int, _Request, np.ndarray]] = []  # guarded-by: _submit_lock
+        self._flush_scheduled = False  # guarded-by: _submit_lock
 
         self.manager.start()
         self._loop = asyncio.new_event_loop()
@@ -437,9 +459,12 @@ class MultiprocGateway:
             pending=pending,
             shard=shard,
         )
-        asyncio.run_coroutine_threadsafe(
-            self._dispatch(index, request, row), self._loop
-        )
+        with self._submit_lock:
+            self._queued.append((index, request, row))
+            wake = not self._flush_scheduled
+            self._flush_scheduled = True
+        if wake:
+            asyncio.run_coroutine_threadsafe(self._flush_queued(), self._loop)
         return pending
 
     def predict_one(
@@ -474,29 +499,50 @@ class MultiprocGateway:
     # ------------------------------------------------------------------ #
     # loop side: dispatch, pooling, pipelined reads
     # ------------------------------------------------------------------ #
-    async def _dispatch(self, index: int, request: _Request, row: np.ndarray) -> None:
-        try:
-            connection = await self._connection(index)
+    async def _flush_queued(self) -> None:
+        """Write every queued query, in submit order, one write per connection.
+
+        Awaiting a connection suspends only while a worker's pool is still
+        being dialled; queries submitted meanwhile wake another flush.
+        """
+        with self._submit_lock:
+            queued, self._queued = self._queued, []
+            self._flush_scheduled = False
+        batches: Dict[_Connection, _FrameBatch] = {}
+        for index, request, row in queued:
+            try:
+                connection = await self._connection(index)
+            except (FleetError, OSError, asyncio.TimeoutError) as error:
+                self._resolve_error(request, self._unavailable(index, error))
+                continue
             request_id = connection.next_id
             connection.next_id += 1
             connection.pending[request_id] = request
-            rows = row.reshape(1, -1)
+            batch = batches.get(connection)
+            if batch is None:
+                batch = batches[connection] = _FrameBatch(index)
+            batch.ids.append(request_id)
             write_frame_async(
-                connection.writer,
+                batch,
                 {
                     "op": "predict",
                     "id": request_id,
                     "stream": request.stream,
-                    "shape": [1, rows.shape[1]],
+                    "shape": [1, row.shape[0]],
                     "dtype": WIRE_DTYPE,
                 },
-                rows.tobytes(),
+                row.tobytes(),
             )
-            await connection.writer.drain()
-        except (FleetError, OSError, asyncio.TimeoutError) as error:
-            self._resolve_error(request, self._unavailable(index, error))
-        except Exception as error:  # pragma: no cover - defensive
-            self._resolve_error(request, error)
+        for connection, batch in batches.items():
+            connection.writer.write(b"".join(batch.parts))
+        for connection, batch in batches.items():
+            try:
+                await connection.writer.drain()
+            except Exception as error:  # drain re-raises whatever the reader hit
+                for request_id in batch.ids:
+                    request = connection.pending.pop(request_id, None)
+                    if request is not None:
+                        self._resolve_error(request, self._unavailable(batch.index, error))
 
     async def _dispatch_control(self, index: int, header: dict, request: _Request) -> None:
         try:

@@ -18,7 +18,8 @@ Requests are pipelined per connection: the connection thread reads frames and
 submits them to the micro-batcher without waiting for results, and responses
 are written from the batcher's done-callbacks (tagged with the request ``id``,
 so they may complete out of order).  Queries from many front-door connections
-therefore coalesce into canonical batches exactly as threads do in-process.
+therefore coalesce into batches exactly as threads do in-process, and each
+batch is padded to a size certified to give the canonical answers.
 
 Ops (header ``"op"`` field):
 
@@ -96,7 +97,10 @@ class WorkerServer:
         (memory-mapped) into its own :class:`PredictionService` at startup.
     max_batch, max_wait_ms:
         Micro-batching knobs — ``max_batch`` is the canonical execution size
-        and must match the in-process reference for bitwise parity.
+        and must match the in-process reference for bitwise parity.  Each
+        service pads a batch to the smallest power-of-two size it certified
+        on this worker's BLAS to answer like ``max_batch`` rows (or to
+        ``max_batch``), so the answers stay canonical.
     max_payload:
         Per-frame payload ceiling enforced before allocation.
     delay_hook:
@@ -179,6 +183,10 @@ class WorkerServer:
         if self._stop.is_set():
             return
         self._stop.set()
+        # Runs on a connection thread: close() alone does not wake the
+        # accept() the serving thread blocks in, shutdown() does.
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
         self._listener.close()
 
     def _close_all(self) -> None:

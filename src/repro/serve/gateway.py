@@ -14,11 +14,12 @@ front door over that fleet:
   :class:`PredictionService`; idle streams cost nothing;
 * **response caching** — each shard keeps a TTL+LRU
   :class:`~repro.serve.cache.TTLLRUCache` keyed on
-  ``(stream, model version, row digest)``.  The micro-batcher executes every
-  query at one canonical batch size, so a response is a pure function of that
-  key: a cache hit is *bitwise* the answer a cold query would produce, and a
-  version bump (hot swap after adaptation or rollback) changes the key, so
-  stale answers become unreachable without an explicit flush.  Models served
+  ``(stream, model version, row digest)``.  Every query executes at the
+  canonical batch size or at a size certified to give the same answers, so a
+  response is a pure function of that key: a cache hit is *bitwise* the
+  answer a cold query would produce, and a version bump (hot swap after
+  adaptation or rollback) changes the key, so stale answers become
+  unreachable without an explicit flush.  Models served
   without a version tag are never cached — the tag is the consistency token;
 * **admission control** — each shard bounds its in-flight queries
   (``max_pending_per_shard``); a submit beyond the bound is shed with a typed
@@ -256,7 +257,9 @@ class ServingGateway:
         but share the shard's admission bound and cache).
     max_batch, max_wait_ms:
         Micro-batching knobs handed to every spun-up service; ``max_batch``
-        is the canonical execution size underpinning cache transparency.
+        is the canonical execution size underpinning cache transparency
+        (each service pads a batch only to a size certified to answer like
+        ``max_batch`` rows, see :class:`PredictionService`).
     max_pending_per_shard:
         Admission bound on in-flight queries per shard; ``None`` disables
         shedding.

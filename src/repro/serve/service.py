@@ -13,14 +13,33 @@ Exactness under micro-batching needs care: every layer of the inference path
 is row-wise (dense layers, row-normalisation, element-wise activations), but
 BLAS picks its GEMM kernel — and with it the summation order of each row's
 dot products — from the *batch size*, so the same unit can round one ulp
-differently in a 3-row batch than in a 400-row batch.  The batcher therefore
-pads every batch up to a fixed canonical size (``max_batch``, repeating the
-last row; padded outputs are dropped) so every query executes in a GEMM of
-identical shape.  Within a fixed shape each output row is a pure function of
-its own input row, independent of batch position and of the other rows'
-values, so a response is bitwise identical to the corresponding row of a
-direct batched ``predict`` over any ``max_batch``-row batch containing that
-unit — the serving tests pin exactly this against a serial reference.
+differently in a 3-row batch than in a 400-row batch.  Within a fixed shape
+each output row is a pure function of its own input row, independent of
+batch position and of the other rows' values, so the answers of a
+``max_batch``-row execution are the *canonical* ones: a response is bitwise
+identical to the corresponding row of a direct batched ``predict`` over any
+``max_batch``-row batch containing that unit — the serving tests pin
+exactly this against a serial reference.
+
+:class:`PredictionService` keeps that contract without making a lone query
+pay for ``max_batch`` rows.  Before a model's first micro-batch it
+*certifies* the power-of-two sizes below ``max_batch``: it predicts one
+seeded ``max_batch``-row probe whole (the canonical answers), then re-runs
+the whole probe as consecutive m-row slices for each power of two m, and
+certifies m only if every slice reproduces its canonical rows bit for bit.
+The whole probe is needed because a size's other kernel path may touch only
+its tail rows.  Each batch is then padded (repeating its last row; padded
+outputs are dropped) to the smallest certified size that holds it, or to
+``max_batch`` when none does — also for a learner without ``n_features``,
+which cannot be probed — so every answer still equals the canonical one and
+cache keys, drift windows and bitwise references stay valid.
+
+Certification runs on the dispatcher thread, under the model lock, in the
+same lock hold as the batch it precedes; a swap only resets the certificate.
+So ``swap_model`` and the direct :meth:`PredictionService.predict` path stay
+O(1), every batch is padded per the certificate of the model that executes
+it, and a probe that raises fails that batch like any failed execution (the
+next batch tries again).
 """
 
 from __future__ import annotations
@@ -128,10 +147,10 @@ class MicroBatcher:
         ``(mu0, mu1, ite, version)`` arrays/scalars; executed on the
         dispatcher thread, outside the queue lock.
     max_batch:
-        Number of queries answered per executed batch — and the *canonical
-        execution size*: smaller batches are padded up to exactly this many
-        rows (see the module docstring), so responses do not depend on how
-        traffic happened to be cut into batches.
+        Largest number of queries coalesced into one executed batch.  The
+        batcher does not pad: ``run_batch`` gets exactly the queued rows and
+        decides the execution shape (:class:`PredictionService` pads to a
+        certified size, see the module docstring).
     max_wait_ms:
         Extra time the dispatcher waits for more queries after the first one
         arrives.  The default ``0`` dispatches immediately: batches still
@@ -143,7 +162,7 @@ class MicroBatcher:
     on_batch:
         Optional hook ``on_batch(rows)`` invoked on the dispatcher thread
         after each *successfully* executed batch, with the read-only
-        ``(k, p)`` array of real (unpadded) query rows in submission order,
+        ``(k, p)`` array of the batch's query rows in submission order,
         before the per-row results are delivered.  A failed batch never
         reaches the hook, so taps (drift monitors) only ever see answered
         queries.  A hook exception is delivered to the batch's callers like
@@ -235,18 +254,11 @@ class MicroBatcher:
 
     def _execute(self, batch: Sequence[Tuple[np.ndarray, PendingPrediction]]) -> None:
         try:
-            rows = [row for row, _ in batch]
-            if len(rows) < self.max_batch:
-                # Pad to the canonical execution size so BLAS picks the same
-                # GEMM kernel (same per-row summation order) for every batch;
-                # the padded rows' outputs are simply dropped below.
-                rows.extend([rows[-1]] * (self.max_batch - len(rows)))
-            stacked = np.stack(rows)
+            stacked = np.stack([row for row, _ in batch])
             mu0, mu1, ite, version = self._run_batch(stacked)
             if self._on_batch is not None:
-                executed = stacked[: len(batch)]
-                executed.setflags(write=False)
-                self._on_batch(executed)
+                stacked.setflags(write=False)
+                self._on_batch(stacked)
             for index, (_, pending) in enumerate(batch):
                 pending._set_result(
                     Prediction(
@@ -259,6 +271,55 @@ class MicroBatcher:
         except BaseException as error:  # deliver, don't kill the dispatcher
             for _, pending in batch:
                 pending._set_error(error)
+
+
+#: Seed of the probe rows a learner's pad sizes are certified on.
+_PROBE_SEED = 20230403
+
+
+def _pad(rows: np.ndarray, size: int) -> np.ndarray:
+    """``rows`` followed by copies of its last row, ``size`` rows in all."""
+    if len(rows) == size:
+        return rows
+    return np.concatenate([rows, np.repeat(rows[-1:], size - len(rows), axis=0)])
+
+
+def _answer_bits(estimate) -> np.ndarray:
+    """Bit patterns of an estimate's ``(mu0, mu1, ite)`` rows, shape ``(3, n)``."""
+    answers = np.array(
+        [estimate.y0_hat, estimate.y1_hat, estimate.ite_hat], dtype=np.float64
+    )
+    return answers.view(np.uint64)
+
+
+def _certify(learner, n_features: Optional[int], max_batch: int) -> Tuple[int, ...]:
+    """Power-of-two sizes below ``max_batch`` that answer like ``max_batch`` rows.
+
+    One seeded ``max_batch``-row probe is predicted whole (the canonical
+    answers), then again as consecutive m-row slices per candidate size m,
+    the last slice padded like a served batch.  A size is certified only if
+    every slice reproduces its canonical rows bit for bit; checking stops at
+    the first mismatch.  The probe calls ``learner.predict`` directly, so its
+    rows never reach observers, the response cache or :class:`ServiceStats`.
+    """
+    if n_features is None:
+        return ()
+    probe = np.random.default_rng(_PROBE_SEED).standard_normal((max_batch, n_features))
+    canonical = _answer_bits(learner.predict(probe))
+    certified = []
+    size = 1
+    while size < max_batch:
+        for start in range(0, max_batch, size):
+            rows = probe[start : start + size]
+            answers = _answer_bits(learner.predict(_pad(rows, size)))
+            if not np.array_equal(
+                answers[:, : len(rows)], canonical[:, start : start + len(rows)]
+            ):
+                break
+        else:
+            certified.append(size)
+        size *= 2
+    return tuple(certified)
 
 
 class PredictionService:
@@ -280,7 +341,11 @@ class PredictionService:
     model_version:
         Version tag stamped on responses (the registry's domain index).
     max_batch, max_wait_ms:
-        Micro-batching knobs, see :class:`MicroBatcher`.
+        Micro-batching knobs, see :class:`MicroBatcher`.  ``max_batch`` is
+        also the *canonical execution size*: each batch is padded to the
+        smallest power-of-two size the serving learner is certified to answer
+        bitwise like ``max_batch`` rows, or to ``max_batch`` itself (see the
+        module docstring and :attr:`certified_sizes`).
     """
 
     def __init__(
@@ -294,6 +359,9 @@ class PredictionService:
         self._learner = learner  # guarded-by: _model_lock
         self._model_version = model_version  # guarded-by: _model_lock
         self._n_features = self._learner_features(learner)  # guarded-by: _model_lock
+        # Certified pad sizes of the serving learner; None until its first
+        # micro-batch certifies it on the dispatcher thread.
+        self._certified = None  # guarded-by: _model_lock
         self._observer_lock = threading.Lock()
         self._observers: List[Callable[[np.ndarray], None]] = []  # guarded-by: _observer_lock
         self._batcher = MicroBatcher(
@@ -333,12 +401,24 @@ class PredictionService:
             self._learner = learner
             self._model_version = model_version
             self._n_features = n_features
+            self._certified = None
 
     @property
     def model_version(self) -> Optional[int]:
         """Version tag of the learner currently serving."""
         with self._model_lock:
             return self._model_version
+
+    @property
+    def certified_sizes(self) -> Optional[Tuple[int, ...]]:
+        """Pad sizes below ``max_batch`` certified for the serving learner.
+
+        ``None`` until the learner's first micro-batch has certified it;
+        ``()`` when no power-of-two size reproduces the ``max_batch``
+        answers or the learner has no ``n_features`` to draw a probe with.
+        """
+        with self._model_lock:
+            return self._certified
 
     @property
     def version_hint(self) -> Optional[int]:
@@ -467,7 +547,17 @@ class PredictionService:
 
     def _run_batch(self, stacked: np.ndarray):
         with self._model_lock:
-            estimate = self._learner.predict(stacked)
+            # Certify under the same lock hold that executes, so a batch is
+            # padded per the certificate of the model that answers it even
+            # when a swap lands between submit and execution.  A probe that
+            # raises fails this batch and leaves the next one to retry.
+            max_batch = self._batcher.max_batch
+            if self._certified is None:
+                self._certified = _certify(self._learner, self._n_features, max_batch)
+            size = next(
+                (fit for fit in self._certified if fit >= len(stacked)), max_batch
+            )
+            estimate = self._learner.predict(_pad(stacked, size))
             version = self._model_version
         # ite is elementwise over rows, so per-row results stay bitwise
         # identical to a direct batched predict over the same units.

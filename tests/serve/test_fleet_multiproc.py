@@ -323,6 +323,34 @@ class TestMultiprocGateway:
                 assert response.model_version == 0
                 assert setup.matches(response, index)
 
+    def test_burst_is_written_in_submit_order(self, setup, gateway, monkeypatch):
+        """A burst of submits reaches the wire in submit order, answered bitwise."""
+        from repro.serve.fleet import frontdoor
+
+        names = setup.names[:2]
+        for name in names:  # fill both workers' connection pools
+            for index in range(3):
+                response = gateway.predict_one(name, setup.bank[index], timeout=60.0)
+                assert setup.matches(response, index)
+        written = []
+        original = frontdoor.write_frame_async
+
+        def record(writer, header, payload=b""):
+            if header.get("op") == "predict":
+                written.append((header["stream"], payload))
+            return original(writer, header, payload)
+
+        monkeypatch.setattr(frontdoor, "write_frame_async", record)
+        # Fresh rows miss the response cache, so every one reaches the wire;
+        # a bank-sized predict is their canonical-batch reference.
+        rows = np.random.default_rng(43).normal(size=setup.bank.shape)
+        reference = setup.learner.predict(rows)
+        submitted = [(names[q % 2], q) for q in range(len(rows))]
+        pendings = [gateway.submit(name, rows[i]) for name, i in submitted]
+        for (_, index), pending in zip(submitted, pendings):
+            assert setup.matches(pending.result(timeout=60.0), index, reference)
+        assert written == [(name, rows[i].tobytes()) for name, i in submitted]
+
     def test_repeated_row_hits_the_response_cache(self, setup, gateway):
         name = setup.names[0]
         before = gateway.stats(include_worker_stats=False).cache_hits
@@ -442,3 +470,27 @@ class TestFleetLifecycle:
 
         with pytest.raises(RuntimeError, match="closed"):
             gateway.submit(victim, setup.bank[0])
+
+    def test_close_stops_every_worker_gracefully(self, setup):
+        """close() drains each worker through its shutdown op: the worker's
+        serving thread must wake from accept() and exit cleanly, rather than
+        be killed once the manager's join times out."""
+        names = setup.names[:2]
+        with MultiprocGateway(
+            setup.root,
+            names,
+            n_workers=2,
+            max_batch=len(setup.bank),
+            cache_capacity=0,
+        ) as gateway:
+            for name in names:
+                assert gateway.predict_one(name, setup.bank[0], timeout=60.0) is not None
+            processes = [
+                handle.process
+                for handle in gateway.manager.workers
+                if handle.process is not None
+            ]
+        assert processes
+        for process in processes:
+            assert not process.is_alive()
+            assert process.exitcode == 0

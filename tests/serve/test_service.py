@@ -206,6 +206,57 @@ class TestConcurrentLoad:
                 swap_thread.join()
 
 
+class TestCertifiedPadding:
+    def test_cerl_batches_execute_only_at_certified_sizes(self, served):
+        """At ``max_batch=256`` a real CERL model serves lone queries and
+        concurrent bursts at certified pad sizes only, with the answers of
+        a direct 256-row ``predict``."""
+        learner, _, _ = served
+        queries = np.random.default_rng(4).normal(size=(256, learner.n_features))
+        reference = learner.predict(queries)
+        sizes: list = []
+
+        class PredictSpy:
+            n_features = learner.n_features
+
+            def predict(self, covariates):
+                sizes.append(len(covariates))
+                return learner.predict(covariates)
+
+        with PredictionService(PredictSpy(), max_batch=256) as service:
+            assert service.predict_one(queries[0]).ite == reference.ite_hat[0]
+            certified = service.certified_sizes
+            sizes.clear()
+            for index in range(1, 4):
+                assert service.predict_one(queries[index]).ite == reference.ite_hat[index]
+            lone = list(sizes)
+            barrier = threading.Barrier(4, timeout=60.0)
+            failures: list = []
+
+            def client(thread_index: int) -> None:
+                barrier.wait()
+                indices = range(thread_index, 256, 4)
+                pendings = [(i, service.submit(queries[i])) for i in indices]
+                for index, pending in pendings:
+                    response = pending.result(timeout=60.0)
+                    if (
+                        response.mu0 != reference.y0_hat[index]
+                        or response.mu1 != reference.y1_hat[index]
+                        or response.ite != reference.ite_hat[index]
+                    ):
+                        failures.append(index)
+
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert set(sizes) <= set(certified) | {256}
+        assert lone == [min(certified, default=256)] * 3
+
+
 class TestMicroBatcher:
     def test_coalesces_up_to_max_batch(self):
         seen_sizes: list = []
