@@ -17,7 +17,9 @@ The generator reproduces the paper's simulation design:
   ``tau = sin((C,A) b_tau)^2``, ``g = cos((C,A) b_g)^2`` and ``eps ~ N(0,1)``.
 * The treatment is Bernoulli with a probit propensity
   ``e0 = Phi((a - mean(a)) / std(a))`` where ``a = sin((C,Z) b_a)``, so
-  selection bias depends on confounders and instruments only.
+  selection bias depends on confounders and instruments only.  ``Phi`` is
+  ``scipy.special.ndtr``: the same values as ``scipy.stats.norm.cdf``,
+  without importing ``scipy.stats``.
 
 Because ``tau`` and ``g`` depend only on confounders and adjustment variables,
 instruments affect the outcome only through the treatment and irrelevant
@@ -32,8 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .dataset import CausalDataset
 
@@ -77,7 +78,8 @@ def hub_toeplitz_correlation(
     The result is nudged to the nearest positive-definite matrix if necessary.
     """
     profile = hub_correlations(size, rho_max, rho_min, gamma)
-    matrix = toeplitz(profile)
+    i = np.arange(size)
+    matrix = profile[np.abs(i[:, None] - i[None, :])]  # Toeplitz: m[i, j] = profile[|i - j|]
     np.fill_diagonal(matrix, 1.0)
     return _ensure_positive_definite(matrix)
 
@@ -262,7 +264,7 @@ class SyntheticDomainGenerator:
             g_std = np.std(g)
             if g_std > 1e-12:
                 z = z + (strength - 1.0) * (g - np.mean(g)) / g_std
-        return norm.cdf(z)
+        return ndtr(z)
 
     def _effect_inputs(self, covariates: np.ndarray) -> np.ndarray:
         return np.concatenate(

@@ -8,13 +8,19 @@ on the same worker index in every process and across restarts.
 Start method defaults to ``spawn``: the manager lives in a threaded serving
 process (front-door pools, micro-batchers), and forking a threaded parent can
 inherit locks mid-acquisition — ``spawn`` sidesteps the whole class of
-deadlocks at the cost of a slower start.
+deadlocks.  A spawned worker re-imports the package before it can serve, so
+:meth:`start` launches every worker process first and only then waits for
+them: the workers import side by side, and the fleet is up in roughly the
+time of its slowest worker rather than the sum of all of them.
 
 Each worker start performs a pipe handshake: the child sends
 ``("ready", port)`` once it is listening *and* its streams' checkpoints are
-loaded, so :meth:`start` returning means the fleet is serving.  Workers are
-daemonic — an abandoned manager cannot leak serving processes past its own
-exit.
+loaded, so :meth:`start` returning means the fleet is serving.  If any worker
+fails to start (an ``("error", message)`` handshake, a missed deadline, or an
+exception while waiting), every process that start launched is killed and
+joined, ready or not, before the first error propagates: a failed start
+leaves no worker running.  Workers are daemonic — an abandoned manager cannot
+leak serving processes past its own exit.
 
 :meth:`kill` (SIGKILL, no drain) exists deliberately: the failure-injection
 experiment uses it to prove that losing one worker neither stalls nor
@@ -30,6 +36,7 @@ import multiprocessing as mp
 import socket
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -76,7 +83,9 @@ class FleetManager:
         ``multiprocessing`` start method; default ``"spawn"`` (see module
         docstring).
     startup_timeout_s:
-        Per-worker ready-handshake deadline.
+        Deadline for a whole start (:meth:`start`, or one :meth:`restart`),
+        measured from the launch of its worker processes: every worker must
+        report ready within it.
     """
 
     def __init__(
@@ -132,15 +141,46 @@ class FleetManager:
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Spawn every worker; returns once all report ready (and serving)."""
+        """Launch every worker, then wait until all report ready (and serving).
+
+        The worker processes are launched together and their handshakes are
+        awaited against one ``startup_timeout_s`` deadline.  If any worker
+        fails, every process this call launched is killed and joined before
+        the first error is raised.
+        """
         if self._started:
             return
-        for handle in self.workers:
-            if handle.streams:
-                self._spawn(handle)
+        self._start_workers([handle for handle in self.workers if handle.streams])
         self._started = True
 
-    def _spawn(self, handle: WorkerHandle) -> None:
+    def _start_workers(self, handles: Sequence[WorkerHandle]) -> None:
+        """Launch ``handles``' processes, then wait for each ready handshake.
+
+        All-or-nothing: the handles take their new process and port only
+        once every worker is ready; on any failure every launched process is
+        killed and joined, and the handles keep their previous state.
+        """
+        deadline = time.monotonic() + self.startup_timeout_s
+        launched: List[Tuple[WorkerHandle, mp.process.BaseProcess, Connection]] = []
+        try:
+            for handle in handles:
+                launched.append((handle, *self._launch(handle)))
+            ports = [
+                self._await_ready(handle, conn, deadline) for handle, _, conn in launched
+            ]
+        except BaseException:
+            for _, process, conn in launched:
+                conn.close()
+                process.kill()
+                process.join(timeout=10.0)
+            raise
+        for (handle, process, _), port in zip(launched, ports):
+            handle.process = process
+            handle.port = port
+            handle.generation += 1
+
+    def _launch(self, handle: WorkerHandle) -> Tuple[mp.process.BaseProcess, Connection]:
+        """Start one worker process; returns it and the read end of its handshake pipe."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         kwargs = {
             "max_batch": self.max_batch,
@@ -157,20 +197,22 @@ class FleetManager:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.startup_timeout_s):
-            process.terminate()
-            raise TimeoutError(
-                f"worker {handle.index} did not report ready within "
-                f"{self.startup_timeout_s:.0f}s"
-            )
-        status, value = parent_conn.recv()
-        parent_conn.close()
+        return process, parent_conn
+
+    def _await_ready(self, handle: WorkerHandle, conn: Connection, deadline: float) -> int:
+        """Read one worker's handshake by ``deadline``; returns its port."""
+        try:
+            if not conn.poll(max(deadline - time.monotonic(), 0.0)):
+                raise TimeoutError(
+                    f"worker {handle.index} did not report ready within "
+                    f"{self.startup_timeout_s:.0f}s of launch"
+                )
+            status, value = conn.recv()
+        finally:
+            conn.close()
         if status != "ready":
-            process.join(timeout=5.0)
             raise RuntimeError(f"worker {handle.index} failed to start: {value}")
-        handle.process = process
-        handle.port = int(value)
-        handle.generation += 1
+        return int(value)
 
     def kill(self, index: int) -> None:
         """SIGKILL one worker — no drain, no goodbye (failure injection)."""
@@ -190,7 +232,7 @@ class FleetManager:
             raise ValueError(f"worker {index} has no assigned streams")
         if handle.process is not None and handle.process.is_alive():
             self._graceful_stop(handle)
-        self._spawn(handle)
+        self._start_workers([handle])
         return handle.port
 
     def stop(self) -> None:

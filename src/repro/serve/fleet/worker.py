@@ -46,6 +46,7 @@ keeps serving.
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import socket
 import threading
@@ -377,6 +378,11 @@ def worker_main(
         conn.send(("error", f"{type(error).__name__}: {error}"))
         conn.close()
         raise
+    # A freshly spawned interpreter has not yet run a full collection: its
+    # imports and checkpoint loads allocate too little to trigger one.  Run
+    # it here, before anyone waits on this worker; otherwise it lands in the
+    # first burst of queries and stalls every one of them for tens of ms.
+    gc.collect()
     conn.send(("ready", server.port))
     conn.close()
     server.serve_forever()

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +18,8 @@ from repro.data import (
     build_block_correlation,
     hub_toeplitz_correlation,
 )
-from repro.data.synthetic import hub_correlations
+from repro.data import synthetic
+from repro.data.synthetic import _ensure_positive_definite, hub_correlations
 
 
 class TestHubCorrelation:
@@ -260,6 +266,63 @@ class TestConfoundingStrength:
         np.testing.assert_array_equal(weak.covariates, strong.covariates)
         np.testing.assert_array_equal(weak.mu0, strong.mu0)
         np.testing.assert_array_equal(weak.mu1, strong.mu1)
+
+
+class TestScipySurface:
+    """The generator needs only ``scipy.special``, and its draws are unchanged."""
+
+    def test_fleet_worker_import_loads_neither_scipy_stats_nor_linalg(self):
+        script = (
+            "import sys\n"
+            "import repro.serve.fleet.worker\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        output = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert output.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 15, 35])
+    @pytest.mark.parametrize(
+        "rho_max, rho_min, gamma", [(0.8, 0.2, 1.0), (0.9, 0.1, 0.5), (0.65, 0.25, 2.0)]
+    )
+    def test_hub_toeplitz_matches_scipy_toeplitz_bitwise(self, size, rho_max, rho_min, gamma):
+        from scipy.linalg import toeplitz
+
+        reference = toeplitz(hub_correlations(size, rho_max, rho_min, gamma))
+        np.fill_diagonal(reference, 1.0)
+        reference = _ensure_positive_definite(reference)
+        matrix = hub_toeplitz_correlation(size, rho_max, rho_min, gamma)
+        assert matrix.dtype == reference.dtype and matrix.shape == reference.shape
+        assert matrix.tobytes() == reference.tobytes()
+
+    def test_ndtr_matches_norm_cdf_bitwise(self):
+        from scipy.stats import norm
+
+        z = np.concatenate([
+            3.0 * np.random.default_rng(5).standard_normal(100_000),
+            [np.inf, -np.inf, 0.0, -0.0, 40.0, -40.0],
+        ])
+        assert synthetic.ndtr(z).tobytes() == norm.cdf(z).tobytes()
+
+    @pytest.mark.parametrize("strength", [0.5, 1.0, 2.5])
+    def test_generate_domain_unchanged_under_norm_cdf(self, monkeypatch, strength):
+        from scipy.stats import norm
+
+        config = SyntheticConfig(confounding_strength=strength, **TestConfoundingStrength.CONFIG)
+        generator = SyntheticDomainGenerator(config, seed=13)
+        ours = generator.generate_domain(0)
+        propensity = generator.propensity(ours.covariates)
+        monkeypatch.setattr(synthetic, "ndtr", norm.cdf)
+        theirs = SyntheticDomainGenerator(config, seed=13).generate_domain(0)
+        for field in ("covariates", "treatments", "outcomes", "mu0", "mu1"):
+            assert getattr(ours, field).tobytes() == getattr(theirs, field).tobytes(), field
+        assert generator.propensity(ours.covariates).tobytes() == propensity.tobytes()
 
 
 class TestSelectionBias:

@@ -17,6 +17,7 @@ Two layers are pinned here:
 from __future__ import annotations
 
 import copy
+import multiprocessing as mp
 import socket
 import struct
 import threading
@@ -27,8 +28,9 @@ import pytest
 from repro.core import CERL, ContinualConfig, ModelConfig
 from repro.data import DomainStream, SyntheticConfig, SyntheticDomainGenerator
 from repro.experiments.multiproc import _spanning_names
-from repro.serve import ModelRegistry, MultiprocGateway, TenantPolicy
+from repro.serve import ModelRegistry, MultiprocGateway, ShardRouter, TenantPolicy
 from repro.serve.fleet import (
+    FleetManager,
     QuotaExceeded,
     RateLimited,
     RemoteError,
@@ -494,3 +496,20 @@ class TestFleetLifecycle:
         for process in processes:
             assert not process.is_alive()
             assert process.exitcode == 0
+
+    def test_failed_start_stops_every_launched_worker(self, setup):
+        """Worker 1 cannot load its stream: the start fails naming it, and
+        worker 0 — ready or not — is killed rather than left serving."""
+        router = ShardRouter(2)
+        served = next(name for name in setup.names if router.shard_for(name) == 0)
+        missing = next(
+            name for name in (f"missing-{i}" for i in range(64)) if router.shard_for(name) == 1
+        )
+        manager = FleetManager(
+            setup.root, [served, missing], n_workers=2, max_batch=len(setup.bank)
+        )
+        before = {process.pid for process in mp.active_children()}
+        with pytest.raises(RuntimeError, match="worker 1 failed to start: FileNotFoundError"):
+            MultiprocGateway(manager=manager)
+        assert manager.alive() == [False, False]
+        assert [p for p in mp.active_children() if p.pid not in before] == []
