@@ -30,9 +30,9 @@ Gradient pass
 -------------
 ``compile`` reuses ``Tensor._build_topo`` on the traced graph — the exact
 eager ordering — and bakes the reversed walk into a list of bound ``backward``
-kernels.  Buffers are zero-filled and every local gradient is added in eager
-accumulation order; see :mod:`repro.nn.tape_ops` for the bit-identity
-argument.
+kernels.  As in eager, the first local gradient a node receives is written
+into its buffer and later ones are added, in eager accumulation order; see
+:mod:`repro.nn.tape_ops` for the bit-identity argument.
 """
 
 from __future__ import annotations
@@ -287,6 +287,17 @@ class Trace:
         self.consts: Dict[int, TraceTensor] = {}
         self.rngs: List[np.random.Generator] = []
         self.has_guards = False
+        self._scratch: Dict[tuple, Buf] = {}
+
+    def scratch(self, slot: int, shape, dtype=np.float64) -> Buf:
+        """The shared transient workspace ``slot`` for ``dtype``, sized for ``shape``."""
+        key = (slot, np.dtype(dtype).str)
+        buf = self._scratch.get(key)
+        if buf is None:
+            buf = self._scratch[key] = Buf(shape, dtype)
+        else:
+            buf.view(shape)  # grow the shared storage to the largest user
+        return buf
 
     # -- node helpers --------------------------------------------------- #
     def _record(self, op: ops.Op) -> None:
@@ -468,6 +479,51 @@ class Trace:
         return value
 
 
+def _plan_grad_workspaces(total, topo, walk, zero_nodes) -> None:
+    """Give every node of ``topo`` a grad workspace, sharing them by liveness.
+
+    An interior node's gradient is live from the first write into it until
+    its own op has read it, so two nodes whose live ranges do not meet can use
+    one workspace; the backward pass then touches a few hot buffers instead
+    of one per node, as the eager pass does by recycling freed arrays.
+    Leaves (the parameters, whose gradients outlive the walk) and nodes no
+    kernel writes keep workspaces of their own.  An op's own workspace is
+    freed only after its parents have taken theirs, so a kernel never writes
+    a parent's gradient into the array it reads its own from.
+    """
+    free: List[Buf] = []
+    pooled = set()
+
+    def bind(node, buf) -> None:
+        node._gbuf = buf
+        node.grad = buf.view(node.data.shape)
+
+    def take(node) -> None:
+        size = node.data.size
+        fits = [buf for buf in free if buf.flat.size >= size]
+        if fits:
+            buf = min(fits, key=lambda b: b.flat.size)
+            free.remove(buf)
+        else:
+            buf = Buf(node.data.shape)
+        bind(node, buf)
+        pooled.add(id(node))
+
+    dedicated = {id(node) for node in zero_nodes}
+    for node in topo:
+        if node._op is None or id(node) in dedicated:
+            bind(node, Buf(node.data.shape))
+    if id(total) not in dedicated and total._op is not None:
+        take(total)
+    for op in walk:
+        out = op.out
+        for parent, first in zip(op.grad_parents(), op.first):
+            if first and parent._op is not None and id(parent) not in dedicated:
+                take(parent)
+        if id(out) in pooled:
+            free.append(out._gbuf)
+
+
 class Tape:
     """A compiled trace: flat forward program + baked backward walk."""
 
@@ -479,11 +535,24 @@ class Tape:
         self.terms = terms
         self.forward_ops = trace.ops
         topo = total._build_topo()
-        for node in topo:
-            node._gbuf = Buf(node.data.shape)
-            node.grad = node._gbuf.view(node.data.shape)
         self.grad_nodes = topo
-        self.backward_ops = [n._op.backward for n in reversed(topo) if n._op is not None]
+        walk = [n._op for n in reversed(topo) if n._op is not None]
+        # The eager pass adopts the first local gradient a node receives and
+        # adds the rest; the order is fixed by the graph, so mark each op's
+        # parent slots once here instead of zero-filling every grad buffer
+        # on every replay.
+        written = {id(total)}
+        for op in walk:
+            flags = []
+            for parent in op.grad_parents():
+                flags.append(parent.requires_grad and id(parent) not in written)
+                if parent.requires_grad:
+                    written.add(id(parent))
+            op.first = tuple(flags)
+        # A node no kernel writes keeps a zero gradient, as in eager.
+        self.zero_nodes = [n for n in topo if id(n) not in written]
+        _plan_grad_workspaces(total, topo, walk, self.zero_nodes)
+        self.backward_ops = [op.backward for op in walk]
         self.param_pairs = trace.param_pairs
 
     # -- replay --------------------------------------------------------- #
@@ -513,8 +582,8 @@ class Tape:
                 op.run()
 
     def run_backward(self) -> None:
-        """Zero the gradient workspaces, seed the root, replay the walk."""
-        for node in self.grad_nodes:
+        """Seed the root and replay the walk; first writes overwrite stale grads."""
+        for node in self.zero_nodes:
             node.grad.fill(0.0)
         self.total.grad.fill(1.0)
         for backward in self.backward_ops:

@@ -4,20 +4,21 @@ Each class here is one recorded operation of a traced loss evaluation.  An op
 owns preallocated output/scratch buffers and exposes:
 
 * ``run()`` — recompute the forward value into the output node's buffer;
-* ``backward()`` — accumulate local gradients into the parents' grad buffers.
+* ``backward()`` — write local gradients into the parents' grad buffers.
 
 Bit-identity contract
 ---------------------
 Every kernel evaluates the *exact* NumPy expression sequence of the matching
 ``Tensor`` closure in :mod:`repro.nn.tensor` (same ufuncs, same operand
 order), so a replayed step produces gradients bitwise identical to the eager
-backward, with one deliberate exception: the eager pass *adopts* the first
-local gradient of a node while the tape zero-fills the grad buffer and adds
-every local into it.  ``0.0 + x`` differs from ``x`` only in the sign of a
-zero (``0.0 + -0.0 == +0.0``), and a zero's sign can never grow into a value
-difference downstream of a gradient (gradients are only added, multiplied and
-fed to the optimiser), so the two passes are equal under ``np.array_equal``
-everywhere — which is what the parity tests pin.
+backward.  Accumulation follows the eager pass too: the eager closures
+*adopt* the first local gradient a node receives and add every later one, and
+the tape does the same.  Which write comes first is fixed by the graph, so
+:class:`repro.nn.tape.Tape` works it out once at compile time and stores it
+per parent slot in each op's ``first`` flags.  A first write goes straight
+into the parent's grad buffer (most kernels compute into it directly, with no
+scratch array); later writes are added, so a replay does not zero-fill the
+grad buffers first.
 
 Dynamic dimensions
 ------------------
@@ -75,45 +76,92 @@ class Buf:
         return self.flat[:n].reshape(shape)
 
 
-def _accumulate(parent, local: np.ndarray) -> None:
-    """``parent.grad += local`` with the eager broadcast reduction.
+def _scratch(out, slot: int, shape, dtype=np.float64) -> Buf:
+    """A transient backward workspace, shared by every op of ``out``'s trace.
 
-    Mirrors ``Tensor._accumulate`` semantics on zero-initialised buffers:
-    when ``local`` carries broadcast axes it is summed down with one ``sum``
+    A kernel's scratch arrays only live inside one ``backward`` call, so all
+    ops of a trace reuse one buffer per ``slot`` (ops that need two scratch
+    arrays at once use slots 0 and 1) instead of owning their own.
+    """
+    return out._trace.scratch(slot, shape, dtype)
+
+
+def _dest(parent, first: bool, scratch: "Buf", shape) -> np.ndarray:
+    """The array a kernel writes a local gradient of ``shape`` into.
+
+    A first write of the parent's own shape goes straight into its grad
+    buffer; anything else (a later write, or a local that still carries
+    broadcast axes) goes to the op's scratch and is folded in by
+    :func:`_commit`.
+    """
+    grad = parent.grad
+    if first and grad.shape == shape:
+        return grad
+    return scratch.view(shape)
+
+
+def _reduce(parent, local: np.ndarray) -> np.ndarray:
+    """Sum a broadcast ``local`` down to the parent's shape, as eager does.
+
+    When ``local`` carries broadcast axes it is summed down with one ``sum``
     call over the fused axis tuple, exactly as ``_unbroadcast`` does.
     """
     shape = parent.data.shape
     if local.shape == shape:
-        np.add(parent.grad, local, out=parent.grad)
-        return
+        return local
     axes = _reduction_axes(local.shape, shape)
     reduced = local.sum(axis=axes) if axes else local
-    np.add(parent.grad, reduced.reshape(shape), out=parent.grad)
+    return reduced.reshape(shape)
 
 
-def _accumulate_neg(parent, local: np.ndarray) -> None:
-    """``parent.grad += (-local)`` without materialising the negation.
+def _commit(parent, local: np.ndarray, first: bool) -> None:
+    """Fold ``local`` into ``parent.grad``: adopt it on the first write, add it after.
+
+    A ``local`` that :func:`_dest` placed in the grad buffer itself is
+    already committed.
+    """
+    grad = parent.grad
+    if first and local is grad:
+        return
+    local = _reduce(parent, local)
+    if first:
+        np.copyto(grad, local)
+    else:
+        np.add(grad, local, out=grad)
+
+
+def _commit_neg(parent, local: np.ndarray, first: bool) -> None:
+    """Fold ``-local`` into ``parent.grad`` without materialising the negation.
 
     IEEE-754 subtraction is defined as addition of the negation, and negation
     distributes exactly over pairwise sums, so ``grad -= local`` (after the
-    same broadcast reduction) is bitwise the eager ``grad += -local``.
+    same broadcast reduction) is bitwise the eager ``grad += -local``, and
+    ``negative(sum(local))`` is bitwise the eager ``sum(-local)``.
     """
-    shape = parent.data.shape
-    if local.shape == shape:
-        np.subtract(parent.grad, local, out=parent.grad)
-        return
-    axes = _reduction_axes(local.shape, shape)
-    reduced = local.sum(axis=axes) if axes else local
-    np.subtract(parent.grad, reduced.reshape(shape), out=parent.grad)
+    grad = parent.grad
+    local = _reduce(parent, local)
+    if first:
+        np.negative(local, out=grad)
+    else:
+        np.subtract(grad, local, out=grad)
 
 
 class Op:
-    """Base recorded operation.  Subclasses set ``out`` and parent nodes."""
+    """Base recorded operation.  Subclasses set ``out`` and parent nodes.
 
-    __slots__ = ("out",)
+    ``first`` holds one flag per entry of :meth:`grad_parents`: whether this
+    op's backward makes the first write into that parent's gradient in the
+    step.  :class:`repro.nn.tape.Tape` sets it when it compiles the walk.
+    """
+
+    __slots__ = ("out", "first")
 
     def run(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def grad_parents(self) -> tuple:
+        """The parent slots ``backward`` writes, in the order it writes them."""
+        return ()
 
     def backward(self) -> None:
         """Default: nothing to propagate (constant/host ops)."""
@@ -138,6 +186,9 @@ class _Binary(Op):
         self.b = b
         self.out = out
 
+    def grad_parents(self) -> tuple:
+        return (self.a, self.b)
+
 
 class AddOp(_Binary):
     __slots__ = ()
@@ -152,10 +203,11 @@ class AddOp(_Binary):
 
     def backward(self) -> None:
         grad = self.out.grad
+        first_a, first_b = self.first
         if self.a.requires_grad:
-            _accumulate(self.a, grad)
+            _commit(self.a, grad, first_a)
         if self.b.requires_grad:
-            _accumulate(self.b, grad)
+            _commit(self.b, grad, first_b)
 
 
 class SubOp(_Binary):
@@ -171,10 +223,11 @@ class SubOp(_Binary):
 
     def backward(self) -> None:
         grad = self.out.grad
+        first_a, first_b = self.first
         if self.a.requires_grad:
-            _accumulate(self.a, grad)
+            _commit(self.a, grad, first_a)
         if self.b.requires_grad:
-            _accumulate_neg(self.b, grad)
+            _commit_neg(self.b, grad, first_b)
 
 
 class MulOp(_Binary):
@@ -182,7 +235,8 @@ class MulOp(_Binary):
 
     def __init__(self, a, b, out) -> None:
         super().__init__(a, b, out)
-        self._scratch = Buf(out.data.shape) if (a.requires_grad or b.requires_grad) else None
+        needs = a.requires_grad or b.requires_grad
+        self._scratch = _scratch(out, 0, out.data.shape) if needs else None
 
     def run(self) -> None:
         a, b = self.a.data, self.b.data
@@ -194,13 +248,15 @@ class MulOp(_Binary):
 
     def backward(self) -> None:
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        first_a, first_b = self.first
         if self.a.requires_grad:
+            local = _dest(self.a, first_a, self._scratch, grad.shape)
             np.multiply(grad, self.b.data, out=local)
-            _accumulate(self.a, local)
+            _commit(self.a, local, first_a)
         if self.b.requires_grad:
+            local = _dest(self.b, first_b, self._scratch, grad.shape)
             np.multiply(grad, self.a.data, out=local)
-            _accumulate(self.b, local)
+            _commit(self.b, local, first_b)
 
 
 class DivOp(_Binary):
@@ -209,8 +265,8 @@ class DivOp(_Binary):
     def __init__(self, a, b, out) -> None:
         super().__init__(a, b, out)
         needs = a.requires_grad or b.requires_grad
-        self._scratch = Buf(out.data.shape) if needs else None
-        self._scratch2 = Buf(b.data.shape) if b.requires_grad else None
+        self._scratch = _scratch(out, 0, out.data.shape) if needs else None
+        self._scratch2 = _scratch(out, 1, b.data.shape) if b.requires_grad else None
 
     def run(self) -> None:
         a, b = self.a.data, self.b.data
@@ -222,18 +278,20 @@ class DivOp(_Binary):
 
     def backward(self) -> None:
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        first_a, first_b = self.first
         if self.a.requires_grad:
+            local = _dest(self.a, first_a, self._scratch, grad.shape)
             np.divide(grad, self.b.data, out=local)
-            _accumulate(self.a, local)
+            _commit(self.a, local, first_a)
         if self.b.requires_grad:
             # Eager: -grad * self.data / (other.data ** 2).
+            local = _dest(self.b, first_b, self._scratch, grad.shape)
             np.negative(grad, out=local)
             np.multiply(local, self.a.data, out=local)
             denom = self._scratch2.view(self.b.data.shape)
             np.power(self.b.data, 2, out=denom)
             np.divide(local, denom, out=local)
-            _accumulate(self.b, local)
+            _commit(self.b, local, first_b)
 
 
 class NegOp(Op):
@@ -251,9 +309,12 @@ class NegOp(Op):
         else:
             np.negative(a, out=out.data)
 
+    def grad_parents(self) -> tuple:
+        return (self.a,)
+
     def backward(self) -> None:
         if self.a.requires_grad:
-            np.subtract(self.a.grad, self.out.grad, out=self.a.grad)
+            _commit_neg(self.a, self.out.grad, self.first[0])
 
 
 class PowOp(Op):
@@ -263,8 +324,8 @@ class PowOp(Op):
         self.a = a
         self.exponent = exponent
         self.out = out
-        self._scratch = Buf(out.data.shape) if a.requires_grad else None
-        self._scratch2 = Buf(out.data.shape) if a.requires_grad else None
+        self._scratch = _scratch(out, 0, out.data.shape) if a.requires_grad else None
+        self._scratch2 = _scratch(out, 1, out.data.shape) if a.requires_grad else None
 
     def run(self) -> None:
         a = self.a.data
@@ -274,15 +335,19 @@ class PowOp(Op):
         else:
             np.power(a, self.exponent, out=out.data)
 
+    def grad_parents(self) -> tuple:
+        return (self.a,)
+
     def backward(self) -> None:
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        first = self.first[0]
+        local = _dest(self.a, first, self._scratch, grad.shape)
         powed = self._scratch2.view(grad.shape)
         # Eager: grad * exponent * self.data ** (exponent - 1).
         np.multiply(grad, self.exponent, out=local)
         np.power(self.a.data, self.exponent - 1, out=powed)
         np.multiply(local, powed, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        _commit(self.a, local, first)
 
 
 class MatMulOp(_Binary):
@@ -290,8 +355,8 @@ class MatMulOp(_Binary):
 
     def __init__(self, a, b, out) -> None:
         super().__init__(a, b, out)
-        self._scratch_a = Buf(a.data.shape) if a.requires_grad else None
-        self._scratch_b = Buf(b.data.shape) if b.requires_grad else None
+        self._scratch_a = _scratch(out, 0, a.data.shape) if a.requires_grad else None
+        self._scratch_b = _scratch(out, 0, b.data.shape) if b.requires_grad else None
 
     def run(self) -> None:
         a, b = self.a.data, self.b.data
@@ -303,14 +368,15 @@ class MatMulOp(_Binary):
 
     def backward(self) -> None:
         grad = self.out.grad
+        first_a, first_b = self.first
         if self.a.requires_grad:
-            local = self._scratch_a.view(self.a.data.shape)
+            local = _dest(self.a, first_a, self._scratch_a, self.a.data.shape)
             np.matmul(grad, self.b.data.T, out=local)
-            np.add(self.a.grad, local, out=self.a.grad)
+            _commit(self.a, local, first_a)
         if self.b.requires_grad:
-            local = self._scratch_b.view(self.b.data.shape)
+            local = _dest(self.b, first_b, self._scratch_b, self.b.data.shape)
             np.matmul(self.a.data.T, grad, out=local)
-            np.add(self.b.grad, local, out=self.b.grad)
+            _commit(self.b, local, first_b)
 
 
 class ReshapeOp(Op):
@@ -330,10 +396,12 @@ class ReshapeOp(Op):
             out.grad = out._gbuf.view(data.shape)
         out.data = data
 
+    def grad_parents(self) -> tuple:
+        return (self.a,)
+
     def backward(self) -> None:
         if self.a.requires_grad:
-            grad = self.out.grad.reshape(self.a.data.shape)
-            np.add(self.a.grad, grad, out=self.a.grad)
+            _commit(self.a, self.out.grad.reshape(self.a.data.shape), self.first[0])
 
 
 class TransposeOp(Op):
@@ -352,9 +420,12 @@ class TransposeOp(Op):
             out.grad = out._gbuf.view(data.shape)
         out.data = data
 
+    def grad_parents(self) -> tuple:
+        return (self.a,)
+
     def backward(self) -> None:
         if self.a.requires_grad:
-            np.add(self.a.grad, self.out.grad.T, out=self.a.grad)
+            _commit(self.a, self.out.grad.T, self.first[0])
 
 
 class GetRowsOp(Op):
@@ -372,7 +443,7 @@ class GetRowsOp(Op):
         self.a = a
         self.index = index
         self.out = out
-        self._full = Buf(a.data.shape) if a.requires_grad else None
+        self._full = _scratch(out, 0, a.data.shape) if a.requires_grad else None
 
     def run(self) -> None:
         idx = self.index.get()
@@ -383,49 +454,74 @@ class GetRowsOp(Op):
         else:
             np.take(a, idx, axis=0, out=out.data)
 
+    def grad_parents(self) -> tuple:
+        return (self.a,)
+
     def backward(self) -> None:
         if not self.a.requires_grad:
             return
-        full = self._full.view(self.a.data.shape)
+        first = self.first[0]
+        full = _dest(self.a, first, self._full, self.a.data.shape)
         full.fill(0.0)
         full[self.index.get()] = self.out.grad
-        np.add(self.a.grad, full, out=self.a.grad)
+        _commit(self.a, full, first)
 
 
 class SumOp(Op):
-    __slots__ = ("a", "axis", "keepdims")
+    """``tensor.sum``.  ``np.sum`` of an ndarray is ``np.add.reduce`` behind a
+    Python wrapper, so the forward calls the reduction directly."""
+
+    __slots__ = ("a", "axis", "keepdims", "_expand")
 
     def __init__(self, a, axis, keepdims, out) -> None:
         self.a = a
         self.axis = axis
         self.keepdims = keepdims
         self.out = out
+        # Index re-inserting the reduced axis into the output gradient, i.e.
+        # ``np.expand_dims`` without its per-call axis normalisation.
+        self._expand = None
+        if axis is not None and not keepdims:
+            self._expand = (slice(None),) * (axis % a.data.ndim) + (np.newaxis,)
 
     def run(self) -> None:
         a = self.a.data
         out = self.out
         if not out._dyn:
-            np.sum(a, axis=self.axis, keepdims=self.keepdims, out=out.data)
+            np.add.reduce(a, axis=self.axis, keepdims=self.keepdims, out=out.data)
             return
         shape = list(a.shape)
         if self.keepdims:
             shape[self.axis] = 1
         else:
             del shape[self.axis]
-        np.sum(a, axis=self.axis, keepdims=self.keepdims, out=_refresh(out, tuple(shape)))
+        np.add.reduce(
+            a, axis=self.axis, keepdims=self.keepdims, out=_refresh(out, tuple(shape))
+        )
+
+    def grad_parents(self) -> tuple:
+        return (self.a,)
 
     def backward(self) -> None:
         if not self.a.requires_grad:
             return
         grad = self.out.grad
+        target = self.a.grad
+        first = self.first[0]
         if self.axis is None:
-            # Eager fills a full-shape constant and adds it; a broadcast
-            # scalar add is the same pairwise sums.
-            np.add(self.a.grad, grad.item(), out=self.a.grad)
+            # Eager fills a full-shape constant and adopts or adds it; a
+            # broadcast scalar add is the same pairwise sums.
+            if first:
+                target.fill(grad.item())
+            else:
+                np.add(target, grad.item(), out=target)
             return
-        if not self.keepdims:
-            grad = np.expand_dims(grad, self.axis)
-        np.add(self.a.grad, grad, out=self.a.grad)
+        if self._expand is not None:
+            grad = grad[self._expand]
+        if first:
+            np.copyto(target, grad)
+        else:
+            np.add(target, grad, out=target)
 
 
 class _Unary(Op):
@@ -434,7 +530,10 @@ class _Unary(Op):
     def __init__(self, a, out) -> None:
         self.a = a
         self.out = out
-        self._scratch = Buf(out.data.shape) if a.requires_grad else None
+        self._scratch = _scratch(out, 0, out.data.shape) if a.requires_grad else None
+
+    def grad_parents(self) -> tuple:
+        return (self.a,)
 
     def _out_view(self) -> np.ndarray:
         out = self.out
@@ -451,9 +550,9 @@ class ExpOp(_Unary):
 
     def backward(self) -> None:
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        local = _dest(self.a, self.first[0], self._scratch, grad.shape)
         np.multiply(grad, self.out.data, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        _commit(self.a, local, self.first[0])
 
 
 class LogOp(_Unary):
@@ -464,9 +563,9 @@ class LogOp(_Unary):
 
     def backward(self) -> None:
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        local = _dest(self.a, self.first[0], self._scratch, grad.shape)
         np.divide(grad, self.a.data, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        _commit(self.a, local, self.first[0])
 
 
 class SqrtOp(_Unary):
@@ -474,7 +573,7 @@ class SqrtOp(_Unary):
 
     def __init__(self, a, out) -> None:
         super().__init__(a, out)
-        self._scratch2 = Buf(out.data.shape) if a.requires_grad else None
+        self._scratch2 = _scratch(out, 1, out.data.shape) if a.requires_grad else None
 
     def run(self) -> None:
         np.sqrt(self.a.data, out=self._out_view())
@@ -482,12 +581,12 @@ class SqrtOp(_Unary):
     def backward(self) -> None:
         # Eager: grad * 0.5 / np.maximum(data, 1e-12).
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        local = _dest(self.a, self.first[0], self._scratch, grad.shape)
         denom = self._scratch2.view(grad.shape)
         np.multiply(grad, 0.5, out=local)
         np.maximum(self.out.data, 1e-12, out=denom)
         np.divide(local, denom, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        _commit(self.a, local, self.first[0])
 
 
 class AbsOp(_Unary):
@@ -495,18 +594,18 @@ class AbsOp(_Unary):
 
     def __init__(self, a, out) -> None:
         super().__init__(a, out)
-        self._sign = Buf(out.data.shape) if a.requires_grad else None
+        self._sign = _scratch(out, 1, out.data.shape) if a.requires_grad else None
 
     def run(self) -> None:
         np.absolute(self.a.data, out=self._out_view())
 
     def backward(self) -> None:
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        local = _dest(self.a, self.first[0], self._scratch, grad.shape)
         sign = self._sign.view(grad.shape)
         np.sign(self.a.data, out=sign)
         np.multiply(grad, sign, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        _commit(self.a, local, self.first[0])
 
 
 class ReluOp(_Unary):
@@ -514,55 +613,55 @@ class ReluOp(_Unary):
 
     def __init__(self, a, out) -> None:
         super().__init__(a, out)
-        self._mask = Buf(out.data.shape, dtype=np.bool_) if a.requires_grad else None
+        self._mask = _scratch(out, 0, out.data.shape, np.bool_) if a.requires_grad else None
 
     def run(self) -> None:
         np.maximum(self.a.data, 0.0, out=self._out_view())
 
     def backward(self) -> None:
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        local = _dest(self.a, self.first[0], self._scratch, grad.shape)
         mask = self._mask.view(grad.shape)
         np.greater(self.a.data, 0.0, out=mask)
         np.multiply(grad, mask, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        _commit(self.a, local, self.first[0])
 
 
 class EluOp(_Unary):
-    __slots__ = ("alpha", "_mask", "_neg")
+    __slots__ = ("alpha", "_mask", "_exp")
 
     def __init__(self, a, alpha, out) -> None:
         super().__init__(a, out)
         self.alpha = alpha
         self._mask = Buf(out.data.shape, dtype=np.bool_)
-        self._neg = Buf(out.data.shape)
+        self._exp = Buf(out.data.shape)
 
     def run(self) -> None:
-        # Eager: np.where(x > 0, x, alpha * (exp(x) - 1)).  copyto with the
+        # Eager: np.where(x > 0, x, alpha * (exp(x) - 1)).  putmask with the
         # positive mask picks branches elementwise exactly like np.where
-        # (NaN fails the > comparison, selecting the exp branch both ways).
+        # (NaN fails the > comparison, selecting the exp branch both ways);
+        # ``np.copyto(..., where=mask)`` does the same about 3x slower.
         x = self.a.data
         out = self._out_view()
         mask = self._mask.view(x.shape)
-        branch = self._neg.view(x.shape)
+        exp_x = self._exp.view(x.shape)
         np.greater(x, 0.0, out=mask)
-        np.exp(x, out=branch)
-        np.subtract(branch, 1.0, out=branch)
-        np.multiply(branch, self.alpha, out=branch)
-        np.copyto(out, branch)
-        np.copyto(out, x, where=mask)
+        np.exp(x, out=exp_x)
+        np.subtract(exp_x, 1.0, out=out)
+        np.multiply(out, self.alpha, out=out)
+        np.putmask(out, mask, x)
 
     def backward(self) -> None:
         # Eager: grad * np.where(x > 0, 1.0, alpha * exp(x)); the forward
-        # mask buffer still holds x > 0 for this step.
+        # left x > 0 and exp(x) in the workspaces for this step, so the
+        # slope is built in the destination without a second exp.
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
-        branch = self._neg.view(grad.shape)
-        np.exp(self.a.data, out=branch)
-        np.multiply(branch, self.alpha, out=branch)
-        np.copyto(branch, 1.0, where=self._mask.view(grad.shape))
-        np.multiply(grad, branch, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        first = self.first[0]
+        local = _dest(self.a, first, self._scratch, grad.shape)
+        np.multiply(self._exp.view(grad.shape), self.alpha, out=local)
+        np.putmask(local, self._mask.view(grad.shape), 1.0)
+        np.multiply(grad, local, out=local)
+        _commit(self.a, local, first)
 
 
 class TanhOp(_Unary):
@@ -570,7 +669,7 @@ class TanhOp(_Unary):
 
     def __init__(self, a, out) -> None:
         super().__init__(a, out)
-        self._scratch2 = Buf(out.data.shape) if a.requires_grad else None
+        self._scratch2 = _scratch(out, 1, out.data.shape) if a.requires_grad else None
 
     def run(self) -> None:
         np.tanh(self.a.data, out=self._out_view())
@@ -578,12 +677,12 @@ class TanhOp(_Unary):
     def backward(self) -> None:
         # Eager: grad * (1.0 - data ** 2).
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        local = _dest(self.a, self.first[0], self._scratch, grad.shape)
         sq = self._scratch2.view(grad.shape)
         np.power(self.out.data, 2, out=sq)
         np.subtract(1.0, sq, out=sq)
         np.multiply(grad, sq, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        _commit(self.a, local, self.first[0])
 
 
 class SigmoidOp(_Unary):
@@ -591,7 +690,7 @@ class SigmoidOp(_Unary):
 
     def __init__(self, a, out) -> None:
         super().__init__(a, out)
-        self._scratch2 = Buf(out.data.shape) if a.requires_grad else None
+        self._scratch2 = _scratch(out, 1, out.data.shape) if a.requires_grad else None
 
     def run(self) -> None:
         # Eager: 1.0 / (1.0 + np.exp(-x)), ufunc by ufunc.
@@ -605,12 +704,12 @@ class SigmoidOp(_Unary):
         # Eager: grad * data * (1.0 - data), left associated.
         grad = self.out.grad
         data = self.out.data
-        local = self._scratch.view(grad.shape)
+        local = _dest(self.a, self.first[0], self._scratch, grad.shape)
         one_minus = self._scratch2.view(grad.shape)
         np.subtract(1.0, data, out=one_minus)
         np.multiply(grad, data, out=local)
         np.multiply(local, one_minus, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        _commit(self.a, local, self.first[0])
 
 
 class ClipOp(_Unary):
@@ -620,8 +719,8 @@ class ClipOp(_Unary):
         super().__init__(a, out)
         self.low = low
         self.high = high
-        self._mask = Buf(out.data.shape, dtype=np.bool_) if a.requires_grad else None
-        self._mask2 = Buf(out.data.shape, dtype=np.bool_) if a.requires_grad else None
+        self._mask = _scratch(out, 0, out.data.shape, np.bool_) if a.requires_grad else None
+        self._mask2 = _scratch(out, 1, out.data.shape, np.bool_) if a.requires_grad else None
 
     def run(self) -> None:
         np.clip(self.a.data, self.low, self.high, out=self._out_view())
@@ -629,14 +728,14 @@ class ClipOp(_Unary):
     def backward(self) -> None:
         # Eager: grad * ((x >= low) & (x <= high)).
         grad = self.out.grad
-        local = self._scratch.view(grad.shape)
+        local = _dest(self.a, self.first[0], self._scratch, grad.shape)
         inside = self._mask.view(grad.shape)
         upper = self._mask2.view(grad.shape)
         np.greater_equal(self.a.data, self.low, out=inside)
         np.less_equal(self.a.data, self.high, out=upper)
         np.logical_and(inside, upper, out=inside)
         np.multiply(grad, inside, out=local)
-        np.add(self.a.grad, local, out=self.a.grad)
+        _commit(self.a, local, self.first[0])
 
 
 class ConcatOp(Op):
@@ -657,13 +756,16 @@ class ConcatOp(Op):
         else:
             np.concatenate(arrays, axis=0, out=out.data)
 
+    def grad_parents(self) -> tuple:
+        return self.parents
+
     def backward(self) -> None:
         grad = self.out.grad
         start = 0
-        for parent in self.parents:
+        for parent, first in zip(self.parents, self.first):
             stop = start + parent.data.shape[0]
             if parent.requires_grad:
-                np.add(parent.grad, grad[start:stop], out=parent.grad)
+                _commit(parent, grad[start:stop], first)
             start = stop
 
 

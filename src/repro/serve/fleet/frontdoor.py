@@ -15,10 +15,13 @@ queued since, in submit order, with one socket write per connection.  Each
 worker gets a small **connection pool**, and requests are **pipelined**: a
 connection carries many in-flight queries at once, tagged with request ids,
 so responses may return out of order and the worker's micro-batcher can
-coalesce queries from every tenant into canonical batches.  One stalled
-tenant therefore never serialises the fleet — and one *dead* worker fails
-only its own streams' queries (typed :class:`WorkerUnavailable`) while every
-other tenant keeps answering.
+coalesce queries from every tenant into canonical batches.  Each
+connection's reader takes whatever the worker has sent in one read and
+parses every complete frame in it (:class:`~.wire.FrameParser`); each
+response is decoded and its query resolved in turn, on the loop thread.  One
+stalled tenant therefore never serialises the fleet — and one *dead* worker
+fails only its own streams' queries (typed :class:`WorkerUnavailable`) while
+every other tenant keeps answering.
 
 Admission control grows a per-tenant dimension over PR 5's per-shard bound:
 
@@ -59,9 +62,10 @@ from ..gateway import GatewayStats, Overloaded, ShardStats
 from ..service import PendingPrediction, Prediction, ServiceStats
 from .manager import FleetManager
 from .wire import (
+    READ_SIZE,
     WIRE_DTYPE,
+    FrameParser,
     decode_array,
-    read_frame_async,
     write_frame_async,
 )
 
@@ -590,13 +594,18 @@ class MultiprocGateway:
         return live[client.rr]
 
     async def _read_responses(self, index: int, connection: _Connection) -> None:
+        # One read takes every response the worker has sent so far.  Each
+        # frame is decoded and its query resolved before the next is
+        # decoded, so a done-callback runs right after its own decode.
+        parser = FrameParser()
         try:
             while True:
-                frame = await read_frame_async(connection.reader)
-                if frame is None:
+                chunk = await connection.reader.read(READ_SIZE)
+                if not chunk:
+                    parser.eof()
                     break
-                header, payload = frame
-                self._deliver(connection, header, payload)
+                for header, payload in parser.feed(chunk):
+                    self._deliver(connection, header, payload)
         except (Exception, asyncio.CancelledError):
             pass
         finally:

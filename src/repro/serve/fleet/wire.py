@@ -8,7 +8,8 @@ library, nothing that could smuggle Python objects across the socket:
   (big-endian prefix);
 * the **header** is a small UTF-8 JSON object (the op, the stream, the array
   shape/dtype, the model version) — cheap to build, cheap to parse, and safe
-  to log;
+  to log.  Every sender encodes it with one shared compact encoder, so equal
+  headers are equal bytes;
 * the **payload** is the raw bytes of one C-contiguous float64 ndarray.  The
   sender writes ``array.data`` straight to the socket; the receiver rebuilds
   with ``np.frombuffer(...).reshape(shape)`` — a zero-copy, read-only view of
@@ -23,38 +24,48 @@ exactly that layout (:class:`ProtocolError`), instead of silently reinterpreting
 bytes.  A query row is thus bit-identical on both sides of the socket no
 matter which side a test inspects.
 
-Defensive limits are enforced **before allocation**: the fixed 8-byte prefix
-is read first, and a declared header/payload size beyond the limit raises
-:class:`FrameTooLarge` without reading — a malformed or hostile peer cannot
-make a worker allocate an arbitrary buffer.  A connection that dies mid-frame
-raises :class:`TruncatedFrame` (mid-header and mid-payload look the same to
-the reader: fewer bytes than declared), while a clean EOF *between* frames is
-returned as ``None`` — the normal end of a conversation.
+Frames are read in one of two ways.  The serving loops read whole chunks of
+up to :data:`READ_SIZE` bytes and hand them to a :class:`FrameParser`, which
+does no I/O itself and yields every complete frame buffered so far, so one
+read serves a whole burst of pipelined frames.  :func:`read_frame` reads
+exactly one frame from a blocking socket and never more, for request/reply
+control clients that must leave later bytes on the socket.
+
+Both enforce the defensive limits **before allocation**: as soon as a frame's
+8-byte prefix is available, a declared header/payload size beyond the limit
+raises :class:`FrameTooLarge` before any of the body is read or buffered — a
+malformed or hostile peer cannot make a worker allocate an arbitrary buffer.
+A connection that dies mid-frame raises :class:`TruncatedFrame` naming the
+part it died in (``prefix``, ``header`` or ``payload``), while a clean EOF
+*between* frames is the normal end of a conversation.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import math
 import socket
 import struct
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_PAYLOAD_BYTES",
+    "FrameParser",
     "FrameTooLarge",
     "MAX_HEADER_BYTES",
     "ProtocolError",
+    "READ_SIZE",
     "TruncatedFrame",
     "WireError",
     "WIRE_DTYPE",
     "decode_array",
+    "encode_frame",
     "encode_rows",
     "read_frame",
-    "read_frame_async",
     "write_frame",
+    "write_frame_async",
 ]
 
 _PREFIX = struct.Struct(">II")
@@ -68,6 +79,14 @@ DEFAULT_MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
 #: The only dtype that crosses the wire (little-endian float64).
 WIRE_DTYPE = "<f8"
+
+#: Bytes a serving loop asks for per socket read; one read serves a whole
+#: burst of pipelined frames.
+READ_SIZE = 64 * 1024
+
+# One compact encoder for every header: ``json.dumps`` with custom separators
+# builds a new encoder on each call, which costs more than the encoding.
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class WireError(RuntimeError):
@@ -152,7 +171,9 @@ def decode_array(header: dict, payload: bytes) -> np.ndarray:
         isinstance(dim, int) and dim >= 0 for dim in shape
     ):
         raise ProtocolError(f"invalid payload shape {shape!r}")
-    expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
+    # Python integers are exact: a shape whose element count overflows int64
+    # declares a huge byte count here instead of wrapping to a small one.
+    expected = math.prod(shape) * 8
     if len(payload) != expected:
         raise ProtocolError(
             f"payload carries {len(payload)} bytes but shape {shape} "
@@ -181,18 +202,33 @@ def _parse_header(raw: bytes) -> dict:
     return header
 
 
+def _frame_head(header: dict, payload_len: int) -> bytes:
+    """The prefix and encoded header of a frame carrying ``payload_len`` bytes."""
+    raw = _HEADER_ENCODER.encode(header).encode("utf-8")
+    return _PREFIX.pack(len(raw), payload_len) + raw
+
+
+def encode_frame(header: dict, payload: bytes = b"") -> bytes:
+    """One whole frame as bytes, for senders that write many frames at once."""
+    return _frame_head(header, len(payload)) + payload
+
+
 def write_frame(sock: socket.socket, header: dict, payload: bytes = b"") -> None:
     """Write one frame to a blocking socket.
 
     ``payload`` may be any bytes-like object (``array.data`` of a C-contiguous
     array is sent without an intermediate copy of the array bytes).
     """
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     # One sendall for prefix+header (small, coalesced), one for the payload
-    # (potentially large; no concatenation copy on the hot path).
-    sock.sendall(_PREFIX.pack(len(header_bytes), len(payload)) + header_bytes)
+    # (potentially large; no concatenation copy).
+    sock.sendall(_frame_head(header, len(payload)))
     if len(payload):
         sock.sendall(payload)
+
+
+def write_frame_async(writer, header: dict, payload: bytes = b"") -> None:
+    """Queue one frame on an asyncio writer, or any object with ``write`` (caller drains)."""
+    writer.write(encode_frame(header, payload))
 
 
 def _recv_exactly(sock: socket.socket, n: int, part: str) -> bytes:
@@ -210,7 +246,7 @@ def _recv_exactly(sock: socket.socket, n: int, part: str) -> bytes:
 def read_frame(
     sock: socket.socket, max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES
 ) -> Optional[Tuple[dict, bytes]]:
-    """Read one frame from a blocking socket.
+    """Read exactly one frame from a blocking socket, and not a byte more.
 
     Returns ``(header, payload)``, or ``None`` on a clean EOF at a frame
     boundary.  Size limits are enforced after the 8-byte prefix, before any
@@ -231,37 +267,70 @@ def read_frame(
     return header, payload
 
 
-async def read_frame_async(
-    reader: asyncio.StreamReader, max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES
-) -> Optional[Tuple[dict, bytes]]:
-    """Asyncio counterpart of :func:`read_frame` (same limits, same errors)."""
-    try:
-        prefix = await reader.readexactly(_PREFIX.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise TruncatedFrame(_PREFIX.size, len(error.partial), "prefix") from error
-    header_len, payload_len = _PREFIX.unpack(prefix)
-    _check_sizes(header_len, payload_len, max_payload)
-    try:
-        raw_header = await reader.readexactly(header_len)
-    except asyncio.IncompleteReadError as error:
-        raise TruncatedFrame(header_len, len(error.partial), "header") from error
-    header = _parse_header(raw_header)
-    payload = b""
-    if payload_len:
-        try:
-            payload = await reader.readexactly(payload_len)
-        except asyncio.IncompleteReadError as error:
-            raise TruncatedFrame(payload_len, len(error.partial), "payload") from error
-    return header, payload
+class FrameParser:
+    """Incremental frame parser over the bytes of whole reads; does no I/O.
 
+    A serving loop reads chunks of up to :data:`READ_SIZE` bytes and passes
+    each to :meth:`feed`, which buffers it and returns an iterator over every
+    complete frame buffered so far, in order, as ``(header, payload)``.  An
+    incomplete frame stays buffered until the chunk that completes it.  A
+    frame is checked against the size limits as soon as its 8-byte prefix is
+    buffered, before any more of it is: the iteration raises
+    :class:`FrameTooLarge` when it reaches that frame, after yielding the
+    frames before it.  Header errors raise :class:`ProtocolError` the same
+    way.  Call :meth:`eof` when the peer closes the connection.
 
-def write_frame_async(
-    writer: asyncio.StreamWriter, header: dict, payload: bytes = b""
-) -> None:
-    """Queue one frame on an asyncio writer (caller drains)."""
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    writer.write(_PREFIX.pack(len(header_bytes), len(payload)) + header_bytes)
-    if len(payload):
-        writer.write(payload)
+    The parser is one connection's state and is not thread-safe.
+    """
+
+    __slots__ = ("max_payload", "_buffer", "_start")
+
+    def __init__(self, max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES) -> None:
+        self.max_payload = max_payload
+        self._buffer = bytearray()
+        self._start = 0  # offset of the first unparsed byte in _buffer
+
+    def feed(self, data: bytes) -> Iterator[Tuple[dict, bytes]]:
+        """Buffer ``data``; iterate over every complete frame buffered so far."""
+        self._buffer += data
+        return self
+
+    def __iter__(self) -> Iterator[Tuple[dict, bytes]]:
+        return self
+
+    def __next__(self) -> Tuple[dict, bytes]:
+        buffer = self._buffer
+        start = self._start
+        if len(buffer) - start >= _PREFIX.size:
+            header_len, payload_len = _PREFIX.unpack_from(buffer, start)
+            _check_sizes(header_len, payload_len, self.max_payload)
+            split = start + _PREFIX.size + header_len
+            end = split + payload_len
+            if end <= len(buffer):
+                self._start = end
+                header = _parse_header(buffer[start + _PREFIX.size : split])
+                payload = bytes(buffer[split:end]) if payload_len else b""
+                return header, payload
+        if start:
+            # Only an incomplete frame remains: move it to the front, so the
+            # buffer never holds more than one frame and one read.
+            del buffer[:start]
+            self._start = 0
+        raise StopIteration
+
+    def eof(self) -> None:
+        """End of the stream: raise :class:`TruncatedFrame` if a frame is partial.
+
+        Call it once every complete frame has been taken.  It names the part
+        the stream ended in; a clean end between frames returns quietly.
+        """
+        buffered = len(self._buffer) - self._start
+        if buffered == 0:
+            return
+        if buffered < _PREFIX.size:
+            raise TruncatedFrame(_PREFIX.size, buffered, "prefix")
+        header_len, payload_len = _PREFIX.unpack_from(self._buffer, self._start)
+        received = buffered - _PREFIX.size
+        if received < header_len:
+            raise TruncatedFrame(header_len, received, "header")
+        raise TruncatedFrame(payload_len, received - header_len, "payload")

@@ -14,12 +14,18 @@ and its assigned stream names, and it:
 * speaks the length-prefixed wire protocol of :mod:`.wire` on a loopback TCP
   socket — JSON header + raw float64 payload, no pickle on the hot path.
 
-Requests are pipelined per connection: the connection thread reads frames and
-submits them to the micro-batcher without waiting for results, and responses
-are written from the batcher's done-callbacks (tagged with the request ``id``,
-so they may complete out of order).  Queries from many front-door connections
-therefore coalesce into batches exactly as threads do in-process, and each
-batch is padded to a size certified to give the canonical answers.
+Requests are pipelined per connection: the connection thread reads whole
+chunks, parses every complete frame in them (:class:`~.wire.FrameParser`) and
+submits each query to the micro-batcher without waiting for results.  Each
+answer is encoded by the query's done-callback and queued on its
+connection's outbox; once the micro-batch that answered it has been
+delivered, the batcher's completion hook sends each connection's outbox with
+one ``sendall``.  Answers are tagged with the request ``id``, so they may
+complete out of order.  Queries from many front-door connections therefore
+coalesce into batches exactly as threads do in-process, and each batch is
+padded to a size certified to give the canonical answers.  Control replies,
+and the error frames of requests refused before they reach a batch, are
+written at once.
 
 Ops (header ``"op"`` field):
 
@@ -51,16 +57,18 @@ import os
 import socket
 import threading
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..registry import ModelRegistry
 from ..service import PredictionService
 from .wire import (
     DEFAULT_MAX_PAYLOAD_BYTES,
+    READ_SIZE,
     WIRE_DTYPE,
+    FrameParser,
     WireError,
     decode_array,
-    read_frame,
+    encode_frame,
     write_frame,
 )
 
@@ -70,15 +78,34 @@ __all__ = ["worker_main", "WorkerServer"]
 
 
 class _Connection:
-    """One accepted front-door connection with a serialised writer."""
+    """One accepted front-door connection with a serialised writer.
+
+    Answers wait in the outbox until :meth:`flush` sends them together;
+    :meth:`send` writes a frame at once.
+    """
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.write_lock = threading.Lock()
+        self.outbox: List[bytes] = []  # guarded-by: write_lock
 
     def send(self, header: dict, payload: bytes = b"") -> None:
         with self.write_lock:
             write_frame(self.sock, header, payload)
+
+    def queue(self, frame: bytes) -> None:
+        with self.write_lock:
+            self.outbox.append(frame)
+
+    def flush(self) -> None:
+        """Send every queued frame with one ``sendall``; drop them if the peer is gone."""
+        with self.write_lock:
+            if not self.outbox:
+                return
+            data = b"".join(self.outbox)
+            self.outbox.clear()
+            with contextlib.suppress(OSError):
+                self.sock.sendall(data)
 
     def close(self) -> None:
         with contextlib.suppress(OSError):
@@ -124,6 +151,8 @@ class WorkerServer:
         self.registry = ModelRegistry(registry_root)
         self.max_payload = max_payload
         self.mmap_mode = mmap_mode
+        self._conn_lock = threading.Lock()
+        self._connections: list = []  # guarded-by: _conn_lock
         self.services: Dict[str, PredictionService] = {}
         for stream in streams:
             entry = self.registry.entry(stream)
@@ -135,6 +164,7 @@ class WorkerServer:
                 model_version=entry.domain_index,
                 max_batch=max_batch,
                 max_wait_ms=max_wait_ms,
+                on_delivered=self._flush_outboxes,
             )
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -142,8 +172,6 @@ class WorkerServer:
         self._listener.listen(64)
         self.port = self._listener.getsockname()[1]
         self._stop = threading.Event()
-        self._conn_lock = threading.Lock()
-        self._connections: list = []  # guarded-by: _conn_lock
         self._threads: list = []
         self._delay_hook = delay_hook
         # Straggler injection (seconds); written by chaos control frames,
@@ -203,14 +231,23 @@ class WorkerServer:
     # ------------------------------------------------------------------ #
     # per-connection protocol
     # ------------------------------------------------------------------ #
+    def _flush_outboxes(self) -> None:
+        """Send every connection's queued answers (the batchers' completion hook)."""
+        with self._conn_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.flush()
+
     def _serve_connection(self, connection: _Connection) -> None:
+        parser = FrameParser(self.max_payload)
         try:
             while True:
-                frame = read_frame(connection.sock, max_payload=self.max_payload)
-                if frame is None:
+                chunk = connection.sock.recv(READ_SIZE)
+                if not chunk:
+                    parser.eof()
                     break
-                header, payload = frame
-                self._handle(connection, header, payload)
+                for header, payload in parser.feed(chunk):
+                    self._handle(connection, header, payload)
         except WireError:
             # A malformed or truncated frame poisons only its connection:
             # the peer reconnects, every other connection keeps serving.
@@ -308,25 +345,24 @@ class WorkerServer:
         pending = service.submit(rows[0])
 
         def respond(done) -> None:
-            # Runs on the micro-batcher's dispatcher thread after delivery;
-            # out-of-order completion is fine — the id pairs it back up.
-            # OSError means the peer went away: nothing to deliver to.
-            with contextlib.suppress(OSError):
-                if done._error is not None:
-                    connection.send(
-                        {
-                            "op": "error",
-                            "id": request_id,
-                            "error": type(done._error).__name__,
-                            "message": str(done._error),
-                        }
-                    )
-                    return
+            # Runs on the micro-batcher's dispatcher thread during delivery;
+            # the batch's completion hook sends the outbox.  Out-of-order
+            # completion is fine — the id pairs it back up.
+            if done._error is not None:
+                frame = encode_frame(
+                    {
+                        "op": "error",
+                        "id": request_id,
+                        "error": type(done._error).__name__,
+                        "message": str(done._error),
+                    }
+                )
+            else:
                 result = done._result
                 answer = np.array(
                     [result.mu0, result.mu1, result.ite], dtype=np.float64
                 )
-                connection.send(
+                frame = encode_frame(
                     {
                         "op": "result",
                         "id": request_id,
@@ -336,8 +372,14 @@ class WorkerServer:
                     },
                     answer.tobytes(),
                 )
+            connection.queue(frame)
 
         pending.add_done_callback(respond)
+        if pending.done():
+            # The batch may have been delivered before the callback was
+            # attached: then it ran right here, after the batch's completion
+            # hook, and nothing else would send its answer.
+            connection.flush()
 
     def _reload(self, stream: str, domain_index: Optional[int]) -> int:
         service = self.services.get(stream)

@@ -167,6 +167,12 @@ class MicroBatcher:
         reaches the hook, so taps (drift monitors) only ever see answered
         queries.  A hook exception is delivered to the batch's callers like
         an execution failure.
+    on_delivered:
+        Optional hook ``on_delivered()`` invoked on the dispatcher thread
+        once every handle of an executed batch has been resolved and its
+        done-callbacks have run — after failed batches too.  A fleet worker
+        uses it to send all of a batch's answers together.  Like a
+        done-callback it must be cheap and must not raise.
     """
 
     def __init__(
@@ -175,6 +181,7 @@ class MicroBatcher:
         max_batch: int = 128,
         max_wait_ms: float = 0.0,
         on_batch: Optional[Callable[[np.ndarray], None]] = None,
+        on_delivered: Optional[Callable[[], None]] = None,
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
@@ -182,6 +189,7 @@ class MicroBatcher:
             raise ValueError("max_wait_ms must be non-negative")
         self._run_batch = run_batch
         self._on_batch = on_batch
+        self._on_delivered = on_delivered
         self.max_batch = max_batch
         self.max_wait = max_wait_ms / 1000.0
         self._queue: List[Tuple[np.ndarray, PendingPrediction]] = []  # guarded-by: _cond
@@ -271,6 +279,8 @@ class MicroBatcher:
         except BaseException as error:  # deliver, don't kill the dispatcher
             for _, pending in batch:
                 pending._set_error(error)
+        if self._on_delivered is not None:
+            self._on_delivered()
 
 
 #: Seed of the probe rows a learner's pad sizes are certified on.
@@ -346,6 +356,8 @@ class PredictionService:
         smallest power-of-two size the serving learner is certified to answer
         bitwise like ``max_batch`` rows, or to ``max_batch`` itself (see the
         module docstring and :attr:`certified_sizes`).
+    on_delivered:
+        Batch completion hook, passed to :class:`MicroBatcher`.
     """
 
     def __init__(
@@ -354,6 +366,7 @@ class PredictionService:
         model_version: Optional[int] = None,
         max_batch: int = 128,
         max_wait_ms: float = 0.0,
+        on_delivered: Optional[Callable[[], None]] = None,
     ) -> None:
         self._model_lock = threading.Lock()
         self._learner = learner  # guarded-by: _model_lock
@@ -369,6 +382,7 @@ class PredictionService:
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             on_batch=self._notify_observers,
+            on_delivered=on_delivered,
         )
 
     # ------------------------------------------------------------------ #

@@ -76,6 +76,11 @@ def _run_parity(module_factory, batches, loss=lambda out: (out * out).sum()):
     return tape
 
 
+def _mixed_reuse_loss(out):
+    doubled = out + out
+    return (doubled * doubled - out * out + (doubled - doubled)).sum()
+
+
 class TestLayerParityMatrix:
     def test_linear(self):
         factory = lambda: Linear(5, 3, rng=np.random.default_rng(1))  # noqa: E731
@@ -98,6 +103,22 @@ class TestLayerParityMatrix:
             return Sequential(Linear(5, 4, rng=np.random.default_rng(2)), ELU(alpha))
 
         _run_parity(factory, _batches(3, (9, 5)))
+
+    @pytest.mark.parametrize(
+        "loss",
+        [
+            _mixed_reuse_loss,
+            # Here the op that reuses ``out`` makes the first write into
+            # ``out``'s gradient.
+            lambda out: (out + out).sum(),
+            lambda out: (out - out).sum(),
+        ],
+        ids=["mixed", "add-first", "sub-first"],
+    )
+    def test_operand_reused_within_one_op(self, loss):
+        """``x + x``, ``x * x`` and ``x - x`` write one gradient twice in one op."""
+        factory = lambda: Linear(5, 3, rng=np.random.default_rng(1))  # noqa: E731
+        _run_parity(factory, _batches(4, (12, 5)), loss=loss)
 
     def test_dropout_consumes_rng_in_eager_draw_order(self):
         def factory():
@@ -235,6 +256,22 @@ class TestTraceMechanics:
             tape.run_forward({"x": np.random.default_rng(1).normal(size=(16, 5))})
             tape.run_backward()
             assert tape.buffer_ids() == idents
+
+    def test_interior_grad_workspaces_are_shared(self):
+        """Interior gradients share workspaces by liveness; parameters keep their own."""
+        module = MLP(5, (8, 4), 2, activation="elu", rng=np.random.default_rng(4))
+        x = np.random.default_rng(0).normal(size=(16, 5))
+        trace = Trace({"x": x})
+        with activate_trace(trace):
+            out = module.forward(trace.input_leaf("x"))
+            total = (out * out).sum()
+        tape = Tape(trace, total, [("total", total)])
+        interior = [node for node in tape.grad_nodes if node._op is not None]
+        interior_bufs = {id(node._gbuf) for node in interior}
+        param_bufs = [id(wrapper._gbuf) for _, wrapper in tape.param_pairs]
+        assert len(interior_bufs) < len(interior)
+        assert len(set(param_bufs)) == len(param_bufs)
+        assert interior_bufs.isdisjoint(param_bufs)
 
     def test_param_grads_are_tape_workspaces(self):
         """``param.grad`` after a tape backward aliases the reused buffer."""

@@ -28,7 +28,13 @@ import pytest
 from repro.core import CERL, ContinualConfig, ModelConfig
 from repro.data import DomainStream, SyntheticConfig, SyntheticDomainGenerator
 from repro.experiments.multiproc import _spanning_names
-from repro.serve import ModelRegistry, MultiprocGateway, ShardRouter, TenantPolicy
+from repro.serve import (
+    ModelRegistry,
+    MultiprocGateway,
+    PendingPrediction,
+    ShardRouter,
+    TenantPolicy,
+)
 from repro.serve.fleet import (
     FleetManager,
     QuotaExceeded,
@@ -37,7 +43,7 @@ from repro.serve.fleet import (
     WorkerServer,
     WorkerUnavailable,
 )
-from repro.serve.fleet.wire import WIRE_DTYPE, read_frame, write_frame
+from repro.serve.fleet.wire import WIRE_DTYPE, encode_frame, read_frame, write_frame
 
 _PREFIX = struct.Struct(">II")
 
@@ -165,6 +171,62 @@ class TestWorkerProtocol:
         assert sorted(answers) == list(range(len(indices)))
         for request_id, index in enumerate(indices):
             assert answers[request_id][2] == setup.reference.ite_hat[index]
+
+    def test_burst_is_answered_with_fewer_writes_than_answers(
+        self, setup, worker, monkeypatch
+    ):
+        writes = []
+        sendall = socket.socket.sendall
+
+        def counting(sock, data, *args):
+            if sock.getsockname()[1] == worker.port:  # the worker's side
+                writes.append(len(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting)
+        indices = range(32)
+        burst = b"".join(
+            encode_frame(
+                predict_header(setup, index, setup.bank[index : index + 1]),
+                setup.bank[index : index + 1].tobytes(),
+            )
+            for index in indices
+        )
+        answers = {}
+        with connect(worker) as sock:
+            sock.sendall(burst)
+            for _ in indices:
+                header, payload = read_frame(sock)
+                assert header["op"] == "result"
+                answers[header["id"]] = np.frombuffer(payload, dtype=np.float64)
+        assert sorted(answers) == list(indices)
+        for index in indices:
+            assert answers[index][2] == setup.reference.ite_hat[index]
+        assert 0 < len(writes) < len(indices)
+
+    def test_answer_is_sent_when_its_batch_was_delivered_first(
+        self, setup, worker, monkeypatch
+    ):
+        """A handle resolved before the worker attaches its done-callback runs
+        the callback on the connection thread, after any batch hook could
+        send it: the connection thread must send that answer itself."""
+        service = worker.services[setup.names[0]]
+        submit = service.submit
+
+        def submit_resolved(row):
+            resolved = PendingPrediction()
+            resolved._set_result(submit(row).result(timeout=10.0))
+            return resolved
+
+        monkeypatch.setattr(service, "submit", submit_resolved)
+        with connect(worker) as sock:
+            sock.settimeout(3.0)
+            rows = setup.bank[4:5]
+            header, payload = roundtrip(
+                sock, predict_header(setup, 1, rows), rows.tobytes()
+            )
+        assert header["op"] == "result" and header["id"] == 1
+        assert np.frombuffer(payload, dtype=np.float64)[2] == setup.reference.ite_hat[4]
 
     def test_zero_row_predict_answers_typed_error(self, setup, worker):
         with connect(worker) as sock:

@@ -6,7 +6,9 @@ pinned explicitly: truncation mid-prefix / mid-header / mid-payload raises
 *before allocation* with :class:`FrameTooLarge`, and both sides normalise /
 reject dtypes identically (float32 or strided input is converted exactly once
 by ``encode_rows``; a payload that skipped it is refused by ``decode_array``
-rather than reinterpreted).  Sync and async readers share the same contract.
+rather than reinterpreted).  The exact one-frame blocking reader and the
+chunked :class:`FrameParser` the serving loops read through share the same
+contract.
 """
 
 from __future__ import annotations
@@ -22,16 +24,18 @@ import pytest
 from repro.serve.fleet.wire import (
     DEFAULT_MAX_PAYLOAD_BYTES,
     MAX_HEADER_BYTES,
+    READ_SIZE,
     WIRE_DTYPE,
+    FrameParser,
     FrameTooLarge,
     ProtocolError,
     TruncatedFrame,
     WireError,
     array_header,
     decode_array,
+    encode_frame,
     encode_rows,
     read_frame,
-    read_frame_async,
     write_frame,
 )
 
@@ -133,7 +137,16 @@ class TestDecodeArray:
             )
 
     def test_invalid_shapes_rejected(self):
-        for shape in ([-1, 4], [1, "4"], "nope", None):
+        # The last three overflow int64 when their elements are counted.
+        for shape in (
+            [-1, 4],
+            [1, "4"],
+            "nope",
+            None,
+            [2**32, 2**32],
+            [2**62, 4],
+            [2**64 + 1],
+        ):
             with pytest.raises(ProtocolError, match="shape"):
                 decode_array({"shape": shape, "dtype": WIRE_DTYPE}, b"")
 
@@ -233,19 +246,29 @@ class TestSyncFraming:
 
 
 def read_async(data: bytes, **kwargs):
-    """Feed ``data`` + EOF to a fresh StreamReader and read one frame."""
+    """Feed ``data`` + EOF to a fresh StreamReader and read one frame.
+
+    Reads as the front door does: whole chunks through a :class:`FrameParser`.
+    """
 
     async def run():
         reader = asyncio.StreamReader()
         reader.feed_data(data)
         reader.feed_eof()
-        return await read_frame_async(reader, **kwargs)
+        parser = FrameParser(**kwargs)
+        while True:
+            chunk = await reader.read(READ_SIZE)
+            if not chunk:
+                parser.eof()
+                return None
+            for frame in parser.feed(chunk):
+                return frame
 
     return asyncio.run(run())
 
 
 class TestAsyncFraming:
-    """The asyncio reader enforces the identical contract."""
+    """The front door's chunked asyncio reads enforce the identical contract."""
 
     def test_round_trip(self):
         rows = encode_rows(np.arange(4.0))
@@ -283,4 +306,67 @@ class TestAsyncFraming:
         with pytest.raises(FrameTooLarge):
             read_async(
                 frame_bytes(array_header(rows), rows.tobytes()), max_payload=64
+            )
+
+
+def parse(chunks, **kwargs):
+    """Every frame of ``chunks`` (then EOF), fed to one parser in order."""
+    parser = FrameParser(**kwargs)
+    frames = []
+    for chunk in chunks:
+        frames.extend(parser.feed(chunk))
+    parser.eof()
+    return frames
+
+
+class TestFrameParser:
+    def test_burst_parses_the_same_fed_whole_or_byte_by_byte(self):
+        rows = encode_rows(np.arange(5.0))
+        frames = [
+            ({"op": "predict", "id": 0, "stream": "s", **array_header(rows)}, rows.tobytes()),
+            ({"op": "ping", "id": 1}, b""),
+            ({"op": "predict", "id": 2, "stream": "s", "shape": [0, 5], "dtype": WIRE_DTYPE}, b""),
+            ({"op": "result", "id": 3, "shape": [3], "dtype": WIRE_DTYPE}, np.ones(3).tobytes()),
+        ]
+        data = b"".join(encode_frame(header, payload) for header, payload in frames)
+        # The shared header encoder writes exactly what json.dumps did.
+        assert data == b"".join(frame_bytes(header, payload) for header, payload in frames)
+        whole = parse([data])
+        assert whole == frames
+        assert parse([data[i : i + 1] for i in range(len(data))]) == whole
+
+    def test_oversized_payload_rejected_from_the_prefix_alone(self):
+        parser = FrameParser()
+        with pytest.raises(FrameTooLarge) as info:
+            list(parser.feed(_PREFIX.pack(2, 2**31)))
+        assert info.value.part == "payload"
+        assert info.value.declared == 2**31
+
+    def test_frames_before_a_bad_one_are_yielded_first(self):
+        data = frame_bytes({"op": "ping", "id": 1}) + _PREFIX.pack(MAX_HEADER_BYTES + 1, 0)
+        frames = FrameParser().feed(data)
+        assert next(frames) == ({"op": "ping", "id": 1}, b"")
+        with pytest.raises(FrameTooLarge) as info:
+            next(frames)
+        assert info.value.part == "header"
+
+    def test_eof_mid_frame_names_the_part(self):
+        # TestAsyncFraming's truncations, after one whole frame and fed three
+        # bytes at a time, so the partial frame spans several feeds.
+        ping = frame_bytes({"op": "ping"})
+        rows = encode_rows(np.ones((1, 8)))
+        data = frame_bytes(array_header(rows), rows.tobytes())
+        header_len = len(data) - _PREFIX.size - rows.nbytes
+        for cut, part, expected, received in (
+            (5, "prefix", _PREFIX.size, 5),
+            (_PREFIX.size + 2, "header", header_len, 2),
+            (len(data) - 8, "payload", rows.nbytes, rows.nbytes - 8),
+        ):
+            stream = ping + data[:cut]
+            with pytest.raises(TruncatedFrame) as info:
+                parse([stream[i : i + 3] for i in range(0, len(stream), 3)])
+            assert (info.value.part, info.value.expected, info.value.received) == (
+                part,
+                expected,
+                received,
             )
