@@ -1043,107 +1043,6 @@ def test_bench_drift_detection(engine_bench):
     assert speedup > 1.0, f"cached drift scoring regressed: {speedup:.2f}x vs Tensor path"
 
 
-def _tape_stage_learner(backend: str, epochs: int):
-    """One CERL continual stage (fit_first done, fit_next timed) per backend."""
-    generator = SyntheticDomainGenerator(QUICK.synthetic_config(n_units=600), seed=0)
-    first, second = generator.generate_domain(0), generator.generate_domain(1)
-    model_config = ModelConfig(
-        representation_dim=32,
-        encoder_hidden=(64,),
-        outcome_hidden=(32,),
-        epochs=epochs,
-        batch_size=128,
-        sinkhorn_iterations=20,
-        seed=0,
-        backend=backend,
-    )
-    continual_config = ContinualConfig(memory_budget=200, rehearsal_batch_size=64)
-    learner = CERL(first.n_features, model_config, continual_config)
-    learner.observe(first)
-    start = time.perf_counter()
-    learner.observe(second)
-    elapsed = time.perf_counter() - start
-    return elapsed, learner
-
-
-@pytest.mark.benchmark(group="engine")
-def test_bench_training_tape(engine_bench):
-    """Tape-replay training backend vs eager autograd on a full CERL stage.
-
-    The tape traces the Eq. 9 objective once per batch signature and replays
-    the recorded kernels in preallocated workspaces, eliminating the per-step
-    graph construction (closures, parent tuples, fresh arrays) of the eager
-    ``Tensor`` path.  Bit-identity of the resulting parameters is asserted
-    before any timing is trusted.
-
-    The ratio is honest wall-clock over the whole stage, which also contains
-    work the tape deliberately shares with the eager path: the detached
-    Sinkhorn transport solve, minibatch feed construction (old-encoder
-    inference, memory gathers) and the optimiser.  On a single-core runner
-    there is no BLAS parallelism to shrink the numeric kernels, that shared
-    host work dominates the step, and the graph-bookkeeping share the tape
-    removes is too small to express the multi-core headline ratio — so the
-    section records ``"gated": true`` with the measured numbers instead of
-    gating a misleading floor (same policy as ``gateway_multiproc``).
-    """
-    epochs = 8  # long enough to amortise the two trace compiles
-    eager_time, eager_learner = min(
-        (_tape_stage_learner("eager", epochs) for _ in range(2)), key=lambda r: r[0]
-    )
-    tape_time, tape_learner = min(
-        (_tape_stage_learner("tape", epochs) for _ in range(2)), key=lambda r: r[0]
-    )
-
-    for module_pair in zip(
-        (eager_learner.encoder, eager_learner.heads),
-        (tape_learner.encoder, tape_learner.heads),
-    ):
-        for eager_param, tape_param in zip(
-            module_pair[0].parameters(), module_pair[1].parameters()
-        ):
-            assert np.array_equal(eager_param.data, tape_param.data), (
-                "tape backend diverged from eager training"
-            )
-
-    speedup = eager_time / tape_time
-    workload = "fit_next: 600 units, 8 epochs, batch 128, memory 200, wasserstein IPM"
-    cpu_count = os.cpu_count() or 1
-    if cpu_count < 2:
-        engine_bench(
-            "training_tape",
-            gated=True,
-            gate_reason=(
-                f"cpu_count={cpu_count}: shared host work (Sinkhorn solve, feeds, "
-                "optimiser) dominates the single-core step, hiding the graph-"
-                "construction savings the tape delivers"
-            ),
-            eager_s=round(eager_time, 4),
-            tape_s=round(tape_time, 4),
-            measured_speedup=round(speedup, 3),
-            cpu_count=cpu_count,
-            workload=workload,
-        )
-        print(
-            f"\ntraining tape: gated on {cpu_count}-cpu machine "
-            f"(eager {eager_time:.3f}s -> tape {tape_time:.3f}s, "
-            f"{speedup:.2f}x, parity asserted)"
-        )
-        return
-
-    engine_bench(
-        "training_tape",
-        eager_s=round(eager_time, 4),
-        tape_s=round(tape_time, 4),
-        speedup=round(speedup, 3),
-        workload=workload,
-    )
-    print(
-        f"\ntraining tape: eager {eager_time:.3f}s -> tape {tape_time:.3f}s "
-        f"({speedup:.2f}x)"
-    )
-    assert speedup > 1.0, f"tape backend regressed below eager: {speedup:.2f}x"
-
-
 @pytest.mark.benchmark(group="engine")
 def test_bench_cerl_continual_stage(engine_bench):
     """Absolute wall-time of one engine-driven CERL continual stage."""

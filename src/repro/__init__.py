@@ -20,7 +20,6 @@ from .core import (
     ModelConfig,
     estimator_names,
     make_estimator,
-    make_strategy,
 )
 from .data import (
     CausalDataset,
@@ -40,7 +39,6 @@ __all__ = [
     "ModelConfig",
     "estimator_names",
     "make_estimator",
-    "make_strategy",
     "CausalDataset",
     "DomainStream",
     "NewsBenchmark",

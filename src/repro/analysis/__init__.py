@@ -1,9 +1,9 @@
 """Static invariant checkers for the repro codebase.
 
-``python -m repro.analysis src`` runs six AST-based rules (RPR001–RPR006)
+``python -m repro.analysis src`` runs five AST-based rules (RPR001–RPR005)
 that enforce the contracts the runtime tests can only sample: RNG
-discipline, wall-clock bans, lock discipline, infer purity, atomic writes
-and tape-traceable ``feeds()``.  See :mod:`repro.analysis.rules` for the
+discipline, wall-clock bans, lock discipline, infer purity and atomic
+writes.  See :mod:`repro.analysis.rules` for the
 rule table and ``ARCHITECTURE.md`` for the annotate-vs-baseline workflow.
 """
 

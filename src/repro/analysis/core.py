@@ -3,7 +3,7 @@
 The correctness story of this reproduction rests on a handful of contracts
 that runtime tests can only sample: seeded-RNG-only determinism, no wall
 clock in deterministic paths, stats counters mutated only under their lock,
-graph-free inference, atomic checkpoint writes, RNG-free ``feeds()``.  The
+graph-free inference and atomic checkpoint writes.  The
 checkers in :mod:`repro.analysis.rules` enforce them *statically*; this
 module is their shared substrate:
 

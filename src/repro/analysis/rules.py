@@ -1,4 +1,4 @@
-"""The six repo-specific invariant checkers.
+"""The five repo-specific invariant checkers.
 
 Each checker is a :class:`~repro.analysis.core.ContextVisitor` with a stable
 rule ID; :func:`run_rules` drives them over one parsed module.  Rules are
@@ -31,10 +31,6 @@ RPR004      infer-purity: no ``Tensor(...)`` construction and no
 RPR005      atomic-writes: ``open(..., "w")``/``np.save*``/``write_text``
             under serve/, core/persistence and utils/ must sit inside
             ``with atomic_write(...)``.
-RPR006      tape-traceability: ``feeds()`` implementations must not touch
-            RNG and must not mutate module state (``self.* = ...``) — the
-            tape replays them every step and assumes they are pure host
-            work.
 ==========  ===============================================================
 """
 
@@ -365,69 +361,6 @@ class AtomicWrites(ContextVisitor):
 
 
 # --------------------------------------------------------------------------- #
-# RPR006 — tape-traceability
-# --------------------------------------------------------------------------- #
-RNG_METHODS = {
-    "normal", "uniform", "choice", "integers", "random", "shuffle",
-    "permutation", "standard_normal", "binomial", "poisson",
-}
-
-
-class TapeTraceability(ContextVisitor):
-    """RPR006: ``feeds()`` is replayed every step — it must be pure host work."""
-
-    rule = "RPR006"
-
-    def __init__(self, mod: SourceModule) -> None:
-        super().__init__(mod)
-        self._depth = 0
-
-    def _visit_function(self, node) -> None:
-        entered = node.name == "feeds"
-        if entered:
-            self._depth += 1
-        super()._visit_function(node)
-        if entered:
-            self._depth -= 1
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._depth:
-            qual = self.mod.resolve(node.func)
-            if qual and qual.startswith("numpy.random."):
-                self.emit(
-                    node,
-                    f"{qual} inside feeds() — the tape replays feeds every "
-                    "step, so RNG here diverges from the eager draw order",
-                )
-            elif isinstance(node.func, ast.Attribute):
-                base = expr_chain(node.func.value)
-                if (
-                    node.func.attr in RNG_METHODS
-                    and base is not None
-                    and "rng" in base.rsplit(".", 1)[-1].lower()
-                ):
-                    self.emit(
-                        node,
-                        f"RNG draw {base}.{node.func.attr}(...) inside feeds() "
-                        "— feeds must be RNG-free for tape/eager bit-identity",
-                    )
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if (
-            self._depth
-            and isinstance(node.ctx, (ast.Store, ast.Del))
-            and expr_chain(node.value) == "self"
-        ):
-            self.emit(
-                node,
-                f"feeds() mutates module state self.{node.attr} — replayed "
-                "host work must be side-effect-free",
-            )
-        self.generic_visit(node)
-
-
-# --------------------------------------------------------------------------- #
 # driver
 # --------------------------------------------------------------------------- #
 RULES: Dict[str, Type[ContextVisitor]] = {
@@ -436,7 +369,6 @@ RULES: Dict[str, Type[ContextVisitor]] = {
     "RPR003": LockDiscipline,
     "RPR004": InferPurity,
     "RPR005": AtomicWrites,
-    "RPR006": TapeTraceability,
 }
 
 

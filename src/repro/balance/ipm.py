@@ -248,30 +248,13 @@ def sinkhorn_wasserstein(
     if not squared_cost:
         cost = (cost + 1e-12).sqrt()
 
-    plan_tensor = _transport_plan(cost, epsilon=epsilon, num_iters=num_iters)
-    return (plan_tensor * cost).sum()
-
-
-def _transport_plan(cost: Tensor, epsilon: float, num_iters: int) -> Tensor:
-    """Sinkhorn transport plan of the detached cost, as a constant tensor.
-
-    Under a tape trace the whole detach/scale/iterate block is recorded as a
-    single host op (the plan depends only on the cost values, not on any
-    traced structure), so replays recompute the plan from the current cost
-    buffer without re-recording the Sinkhorn shape or index work.
-    """
-
-    def compute() -> np.ndarray:
+    with no_grad():
         cost_detached = cost.data.copy()
         scale = max(float(cost_detached.max()), 1e-8)
-        return _sinkhorn_plan(cost_detached / scale, epsilon=epsilon, num_iters=num_iters)
+        plan = _sinkhorn_plan(cost_detached / scale, epsilon=epsilon, num_iters=num_iters)
 
-    trace = getattr(cost, "_trace", None)
-    if trace is not None:
-        return trace.host_tensor(compute, dynamic=True)
-    with no_grad():
-        plan = compute()
-    return Tensor(plan)
+    plan_tensor = Tensor(plan)
+    return (plan_tensor * cost).sum()
 
 
 def wasserstein_1d_exact(a: np.ndarray, b: np.ndarray) -> float:

@@ -20,13 +20,7 @@ from .api import (
     estimator_specs,
     make_estimator,
 )
-from .strategies import (
-    STRATEGY_NAMES,
-    CFRStrategyA,
-    CFRStrategyB,
-    CFRStrategyC,
-    make_strategy,
-)
+from .strategies import CFRStrategyA, CFRStrategyB, CFRStrategyC
 from .learners import RLearner, SLearner, TLearner, XLearner
 from .classic import LogisticPropensityModel, RidgeTLearner, ipw_ate, naive_ate
 from .persistence import (
@@ -67,12 +61,10 @@ __all__ = [
     "estimator_names",
     "estimator_specs",
     "make_estimator",
-    "STRATEGY_NAMES",
     "CFRStrategyA",
     "CFRStrategyB",
     "CFRStrategyC",
     "ContinualEstimator",
-    "make_strategy",
     "SLearner",
     "TLearner",
     "XLearner",

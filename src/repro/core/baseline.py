@@ -31,7 +31,7 @@ from ..engine import (
     EarlyStopping,
     History,
     LossBundle,
-    TraceableLoss,
+    LossResult,
     Trainer,
     TrainingHistory,
     mse_validator,
@@ -168,20 +168,31 @@ class BaselineCausalModel:
             )
             validate = lambda: self.validation_loss(val_dataset)  # noqa: E731
 
-        def feeds(batch: np.ndarray) -> dict:
+        def batch_loss(batch: np.ndarray) -> LossResult:
             batch_treatments = treatments[batch]
-            return {
-                "inputs": inputs[batch],
-                "outcomes": outcomes[batch],
-                "treatments": batch_treatments,
-                "treatment_mask": np.asarray(batch_treatments)
-                .ravel()
-                .astype(np.float64),
-            }
+            y = Tensor(outcomes[batch])
+            representations = self.encoder.forward(Tensor(inputs[batch]))
+            predictions = self.heads.factual(representations, batch_treatments)
+            factual = mse_loss(predictions, y)
 
-        batch_loss = TraceableLoss(
-            self._loss_program, feeds, parameters=lambda: parameters
-        )
+            treated_idx = np.flatnonzero(batch_treatments == 1)
+            control_idx = np.flatnonzero(batch_treatments == 0)
+            if config.alpha > 0.0 and treated_idx.size > 1 and control_idx.size > 1:
+                imbalance = ipm_distance(
+                    representations[treated_idx],
+                    representations[control_idx],
+                    kind=config.ipm_kind,
+                    epsilon=config.sinkhorn_epsilon,
+                    num_iters=config.sinkhorn_iterations,
+                )
+            else:
+                imbalance = Tensor(0.0)
+
+            bundle = LossBundle()
+            bundle.add("factual", factual)
+            bundle.add("ipm", imbalance, weight=config.alpha)
+            bundle.add("regularization", self.encoder.elastic_net(), weight=config.lambda_reg)
+            return bundle.result()
 
         trainer = Trainer(
             parameters,
@@ -191,7 +202,6 @@ class BaselineCausalModel:
             rng=self._rng,
             scheduler=make_lr_scheduler(config, optimizer, epochs),
             callbacks=callbacks,
-            backend=config.backend,
         )
         trainer.fit(len(dataset), batch_loss, epochs=epochs, validate=validate)
         return self.history
@@ -206,44 +216,6 @@ class BaselineCausalModel:
             self._scale_outcomes(dataset.outcomes),
         )
         return validate()
-
-    def _loss_program(self, env) -> LossBundle:
-        """Compose the Eq. (5) objective for one minibatch as a LossBundle.
-
-        ``env`` is an :class:`~repro.engine.EagerEnv` (default backend, one
-        immediate evaluation per step — the pre-backend expressions verbatim)
-        or a :class:`~repro.engine.TraceEnv` (tape backend, recorded once and
-        replayed).  The program is written once against the env protocol.
-        """
-        config = self.config
-        y = env.tensor("outcomes")
-        representations = self.encoder.forward(env.tensor("inputs"))
-        predictions = self.heads.factual_masked(
-            representations, env.tensor("treatment_mask")
-        )
-        factual = mse_loss(predictions, y)
-
-        treatments = env.array("treatments")
-        treated_idx = env.flatnonzero_eq(treatments, 1)
-        control_idx = env.flatnonzero_eq(treatments, 0)
-        if config.alpha > 0.0 and env.guard(
-            lambda t, c: t.size > 1 and c.size > 1, treated_idx, control_idx
-        ):
-            imbalance = ipm_distance(
-                env.take_rows(representations, treated_idx),
-                env.take_rows(representations, control_idx),
-                kind=config.ipm_kind,
-                epsilon=config.sinkhorn_epsilon,
-                num_iters=config.sinkhorn_iterations,
-            )
-        else:
-            imbalance = Tensor(0.0)
-
-        bundle = LossBundle()
-        bundle.add("factual", factual)
-        bundle.add("ipm", imbalance, weight=config.alpha)
-        bundle.add("regularization", self.encoder.elastic_net(), weight=config.lambda_reg)
-        return bundle
 
     # ------------------------------------------------------------------ #
     # inference

@@ -43,7 +43,7 @@ from ..engine import (
     EarlyStopping,
     History,
     LossBundle,
-    TraceableLoss,
+    LossResult,
     Trainer,
     TrainingHistory,
     mse_validator,
@@ -220,99 +220,6 @@ class CERL:
             new_heads.load_state_dict(self.heads.state_dict())
         return new_heads
 
-    def _continual_program(
-        self,
-        env,
-        new_encoder: RepresentationNetwork,
-        new_heads: OutcomeHeads,
-        transform: FeatureTransform,
-        memory_arrays: Optional[tuple],
-    ) -> LossBundle:
-        """Compose the Eq. (9) objective for one minibatch as a LossBundle.
-
-        Written once against the backend env protocol: under
-        :class:`~repro.engine.EagerEnv` every call evaluates immediately with
-        the pre-backend expressions; under :class:`~repro.engine.TraceEnv`
-        the host work (rehearsal draw, index gathers, group splits) is
-        recorded alongside the Tensor graph and replayed per step.  The
-        detached old-encoder representations arrive as a feed computed by the
-        RNG-free feeds function, so the only per-step random draw is the
-        rehearsal ``rng_choice`` — recorded in draw order.
-        """
-        model_cfg = self.model_config
-        cont_cfg = self.continual_config
-
-        new_batch_y = env.tensor("outcomes")
-        representations_new = new_encoder.forward(env.tensor("new_inputs"))
-        representations_old = env.tensor("old_representations")
-
-        # Factual loss on new data (second term of Eq. 8).
-        predictions_new = new_heads.factual_masked(
-            representations_new, env.tensor("treatment_mask")
-        )
-        factual = mse_loss(predictions_new, new_batch_y)
-
-        # Feature-representation distillation (Eq. 6).
-        if cont_cfg.use_distillation and cont_cfg.beta > 0.0:
-            distill = cosine_distance_loss(representations_old, representations_new)
-        else:
-            distill = Tensor(0.0)
-
-        ipm_reps = representations_new
-        ipm_treatments = env.array("treatments")
-
-        transform_loss = Tensor(0.0)
-        if memory_arrays is not None:
-            memory_reps, memory_outcomes, memory_treatments = memory_arrays
-
-            # Transformation alignment (Eq. 7): phi(g_old(x)) ≈ g_new(x).
-            transformed_new = transform.forward(representations_old)
-            target_new = env.detach(representations_new)
-            transform_loss = cosine_distance_loss(transformed_new, target_new)
-
-            # Factual loss on the transformed memory (first term of Eq. 8).
-            memory_idx = env.rng_choice(
-                self._rng,
-                len(memory_reps),
-                size=min(cont_cfg.rehearsal_batch_size, len(memory_reps)),
-            )
-            memory_batch = transform.forward(env.lift(env.take(memory_reps, memory_idx)))
-            predictions_memory = new_heads.factual_masked(
-                memory_batch, env.lift(env.mask(env.take(memory_treatments, memory_idx)))
-            )
-            factual = factual + mse_loss(
-                predictions_memory, env.lift(env.take(memory_outcomes, memory_idx))
-            )
-
-            # Global balancing over transformed-old ∪ new representations.
-            ipm_reps = concatenate([memory_batch, representations_new], axis=0)
-            ipm_treatments = env.hconcat(
-                env.take(memory_treatments, memory_idx), ipm_treatments
-            )
-
-        treated_idx = env.flatnonzero_eq(ipm_treatments, 1)
-        control_idx = env.flatnonzero_eq(ipm_treatments, 0)
-        if model_cfg.alpha > 0.0 and env.guard(
-            lambda t, c: t.size > 1 and c.size > 1, treated_idx, control_idx
-        ):
-            imbalance = ipm_distance(
-                env.take_rows(ipm_reps, treated_idx),
-                env.take_rows(ipm_reps, control_idx),
-                kind=model_cfg.ipm_kind,
-                epsilon=model_cfg.sinkhorn_epsilon,
-                num_iters=model_cfg.sinkhorn_iterations,
-            )
-        else:
-            imbalance = Tensor(0.0)
-
-        bundle = LossBundle()
-        bundle.add("factual", factual)
-        bundle.add("ipm", imbalance, weight=model_cfg.alpha)
-        bundle.add("regularization", new_encoder.elastic_net(), weight=model_cfg.lambda_reg)
-        bundle.add("distillation", distill, weight=cont_cfg.beta)
-        bundle.add("transformation", transform_loss, weight=cont_cfg.delta)
-        return bundle
-
     def _train_continual(
         self,
         dataset: CausalDataset,
@@ -375,28 +282,75 @@ class CERL:
                 val_outcomes,
             )
 
-        def feeds(batch: np.ndarray) -> dict:
-            # RNG-free per-step host work: minibatch slices plus the detached
-            # old-encoder representations on the inference fast path (bitwise
-            # identical to the Tensor forward under no_grad, pinned by tests).
-            batch_treatments = treatments[batch]
-            return {
-                "new_inputs": new_inputs[batch],
-                "outcomes": outcomes[batch],
-                "treatments": batch_treatments,
-                "treatment_mask": np.asarray(batch_treatments)
-                .ravel()
-                .astype(np.float64),
-                "old_representations": old_encoder.infer(old_inputs[batch]).copy(),
-            }
+        def batch_loss(batch: np.ndarray) -> LossResult:
+            new_batch_y = Tensor(outcomes[batch])
+            new_batch_t = treatments[batch]
+            representations_new = new_encoder.forward(Tensor(new_inputs[batch]))
+            # Detached old-encoder representations from the inference fast path
+            # (bitwise identical to the Tensor forward under no_grad, pinned by
+            # tests); ``infer`` reuses its workspace, hence the copy.
+            representations_old = Tensor(old_encoder.infer(old_inputs[batch]).copy())
 
-        batch_loss = TraceableLoss(
-            lambda env: self._continual_program(
-                env, new_encoder, new_heads, transform, memory_arrays
-            ),
-            feeds,
-            parameters=lambda: parameters,
-        )
+            # Factual loss on new data (second term of Eq. 8).
+            predictions_new = new_heads.factual(representations_new, new_batch_t)
+            factual = mse_loss(predictions_new, new_batch_y)
+
+            # Feature-representation distillation (Eq. 6).
+            if cont_cfg.use_distillation and cont_cfg.beta > 0.0:
+                distill = cosine_distance_loss(representations_old, representations_new)
+            else:
+                distill = Tensor(0.0)
+
+            ipm_reps = representations_new
+            ipm_treatments = new_batch_t
+
+            transform_loss = Tensor(0.0)
+            if memory_arrays is not None:
+                memory_reps, memory_outcomes, memory_treatments = memory_arrays
+
+                # Transformation alignment (Eq. 7): phi(g_old(x)) ≈ g_new(x).
+                transformed_new = transform.forward(representations_old)
+                target_new = Tensor(representations_new.numpy())
+                transform_loss = cosine_distance_loss(transformed_new, target_new)
+
+                # Factual loss on the transformed memory (first term of Eq. 8).
+                memory_idx = self._rng.choice(
+                    len(memory_reps),
+                    size=min(cont_cfg.rehearsal_batch_size, len(memory_reps)),
+                    replace=False,
+                )
+                memory_batch = transform.forward(Tensor(memory_reps[memory_idx]))
+                predictions_memory = new_heads.factual(memory_batch, memory_treatments[memory_idx])
+                factual = factual + mse_loss(
+                    predictions_memory, Tensor(memory_outcomes[memory_idx])
+                )
+
+                # Global balancing over transformed-old ∪ new representations.
+                ipm_reps = concatenate([memory_batch, representations_new], axis=0)
+                ipm_treatments = np.concatenate([memory_treatments[memory_idx], new_batch_t])
+
+            treated_idx = np.flatnonzero(ipm_treatments == 1)
+            control_idx = np.flatnonzero(ipm_treatments == 0)
+            if model_cfg.alpha > 0.0 and treated_idx.size > 1 and control_idx.size > 1:
+                imbalance = ipm_distance(
+                    ipm_reps[treated_idx],
+                    ipm_reps[control_idx],
+                    kind=model_cfg.ipm_kind,
+                    epsilon=model_cfg.sinkhorn_epsilon,
+                    num_iters=model_cfg.sinkhorn_iterations,
+                )
+            else:
+                imbalance = Tensor(0.0)
+
+            bundle = LossBundle()
+            bundle.add("factual", factual)
+            bundle.add("ipm", imbalance, weight=model_cfg.alpha)
+            bundle.add(
+                "regularization", new_encoder.elastic_net(), weight=model_cfg.lambda_reg
+            )
+            bundle.add("distillation", distill, weight=cont_cfg.beta)
+            bundle.add("transformation", transform_loss, weight=cont_cfg.delta)
+            return bundle.result()
 
         trainer = Trainer(
             parameters,
@@ -406,7 +360,6 @@ class CERL:
             rng=self._rng,
             scheduler=make_lr_scheduler(model_cfg, optimizer, epochs),
             callbacks=callbacks,
-            backend=model_cfg.backend,
         )
         trainer.fit(len(dataset), batch_loss, epochs=epochs, validate=validate)
         old_encoder.unfreeze()

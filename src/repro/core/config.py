@@ -10,7 +10,6 @@ __all__ = ["ModelConfig", "ContinualConfig"]
 IPMKind = Literal["wasserstein", "mmd_linear", "mmd_rbf"]
 MemoryStrategy = Literal["herding", "random"]
 LRSchedule = Literal["constant", "step", "cosine"]
-Backend = Literal["eager", "tape"]
 
 
 @dataclass
@@ -28,11 +27,6 @@ class ModelConfig:
     the training engine: ``"constant"`` (default), ``"step"`` (decay by
     ``lr_gamma`` every ``lr_step_size`` epochs) or ``"cosine"`` (anneal to 0
     over the epoch budget).
-
-    ``backend`` selects the training execution backend: ``"eager"`` (default)
-    evaluates the objective graph step by step, ``"tape"`` traces it once per
-    batch shape and replays the recorded kernels allocation-free — same
-    gradients and trajectories to the last bit, substantially faster epochs.
     """
 
     representation_dim: int = 32
@@ -56,7 +50,6 @@ class ModelConfig:
     lr_schedule: LRSchedule = "constant"
     lr_step_size: int = 20
     lr_gamma: float = 0.5
-    backend: Backend = "eager"
     standardize_covariates: bool = True
     standardize_outcomes: bool = True
     seed: int = 0
@@ -76,8 +69,6 @@ class ModelConfig:
             )
         if self.lr_schedule not in ("constant", "step", "cosine"):
             raise ValueError(f"unknown lr_schedule '{self.lr_schedule}'")
-        if self.backend not in ("eager", "tape"):
-            raise ValueError(f"unknown training backend '{self.backend}'")
         if self.lr_step_size <= 0:
             raise ValueError("lr_step_size must be positive")
         if self.lr_gamma <= 0:

@@ -5,8 +5,8 @@ item 1 calls for the standard meta-learner constructions as additional
 columns.  All four learners here
 
 * train every regression head on the shared :class:`repro.engine.Trainer`
-  through :class:`~repro.engine.TraceableLoss` programs, so
-  ``ModelConfig(backend="tape")`` applies to them unchanged;
+  through a plain batch-loss closure, so grad clipping and LR schedules
+  apply to them unchanged;
 * implement the :class:`repro.core.api.ContinualEstimator` protocol
   (``observe`` / ``predict`` / ``predict_ite`` / ``evaluate`` /
   ``evaluate_many``), so they drop into streams, serving, drift adaptation,
@@ -50,9 +50,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.dataset import CausalDataset
-from ..engine import History, LossBundle, TraceableLoss, Trainer, TrainingHistory
+from ..engine import History, LossBundle, LossResult, Trainer, TrainingHistory
 from ..metrics import EffectEstimate, evaluate_effect_estimate
-from ..nn import MLP, Adam, mse_loss
+from ..nn import MLP, Adam, Tensor, mse_loss
 from ..utils import Standardizer
 from .baseline import make_lr_scheduler
 from .classic import LogisticPropensityModel
@@ -72,9 +72,9 @@ class _EngineRegressor:
 
     The building block of every meta-learner: standardises inputs (and
     optionally targets), expresses the squared-error objective as a
-    ``program(env) -> LossBundle`` with RNG-free feeds, and hands the
-    epoch/minibatch loop to :class:`repro.engine.Trainer` — so the tape
-    backend, grad clipping and LR schedules all apply unchanged.
+    ``batch_loss(batch) -> LossResult`` closure, and hands the
+    epoch/minibatch loop to :class:`repro.engine.Trainer` — so grad
+    clipping and LR schedules apply unchanged.
 
     ``fit_residual`` trains the same head against the R-learner objective
     ``mean((y_res - t_res * f(x))^2)`` instead of plain regression.
@@ -113,16 +113,13 @@ class _EngineRegressor:
         x = self.input_scaler.transform(inputs)
         y = self.target_scaler.transform(targets) if self.scale_targets else targets
 
-        def program(env) -> LossBundle:
-            predictions = self.net.forward(env.tensor("inputs"))
+        def batch_loss(batch: np.ndarray) -> LossResult:
+            predictions = self.net.forward(Tensor(x[batch]))
             bundle = LossBundle()
-            bundle.add("mse", mse_loss(predictions, env.tensor("targets")))
-            return bundle
+            bundle.add("mse", mse_loss(predictions, Tensor(y[batch][:, None])))
+            return bundle.result()
 
-        def feeds(batch: np.ndarray) -> dict:
-            return {"inputs": x[batch], "targets": y[batch][:, None]}
-
-        return self._run(program, feeds, len(x), epochs)
+        return self._run(batch_loss, len(x), epochs)
 
     def fit_residual(
         self,
@@ -139,30 +136,22 @@ class _EngineRegressor:
             self.input_scaler.fit(inputs)
         x = self.input_scaler.transform(inputs)
 
-        def program(env) -> LossBundle:
-            tau = self.net.forward(env.tensor("inputs"))
-            predictions = tau * env.tensor("t_res")
+        def batch_loss(batch: np.ndarray) -> LossResult:
+            tau = self.net.forward(Tensor(x[batch]))
+            predictions = tau * Tensor(t_res[batch][:, None])
             bundle = LossBundle()
-            bundle.add("r_loss", mse_loss(predictions, env.tensor("y_res")))
-            return bundle
+            bundle.add("r_loss", mse_loss(predictions, Tensor(y_res[batch][:, None])))
+            return bundle.result()
 
-        def feeds(batch: np.ndarray) -> dict:
-            return {
-                "inputs": x[batch],
-                "t_res": t_res[batch][:, None],
-                "y_res": y_res[batch][:, None],
-            }
+        return self._run(batch_loss, len(x), epochs)
 
-        return self._run(program, feeds, len(x), epochs)
-
-    def _run(self, program, feeds, n_units: int, epochs: int) -> TrainingHistory:
+    def _run(self, batch_loss, n_units: int, epochs: int) -> TrainingHistory:
         config = self.config
         parameters = self.net.parameters()
         optimizer = Adam(
             parameters, lr=config.learning_rate, weight_decay=config.weight_decay
         )
         history = TrainingHistory()
-        batch_loss = TraceableLoss(program, feeds, parameters=lambda: parameters)
         trainer = Trainer(
             parameters,
             optimizer,
@@ -171,7 +160,6 @@ class _EngineRegressor:
             rng=self._rng,
             scheduler=make_lr_scheduler(config, optimizer, epochs),
             callbacks=[History(history)],
-            backend=config.backend,
         )
         trainer.fit(n_units, batch_loss, epochs=epochs)
         self.fitted = True

@@ -68,14 +68,7 @@ class OutcomeHeads(Module):
         each unit's observed treatment.
         """
         treatments = np.asarray(treatments).ravel()
-        return self.factual_masked(representations, Tensor(treatments.astype(np.float64)))
-
-    def factual_masked(self, representations: Tensor, mask: Tensor) -> Tensor:
-        """:meth:`factual` with the treatment mask already lifted to a tensor.
-
-        Loss programs use this entry point so the mask can be a per-step feed
-        (eager) or a replayed leaf (tape) instead of a baked constant.
-        """
+        mask = Tensor(treatments.astype(np.float64))
         y1 = self.treated_head(representations).reshape(-1)
         y0 = self.control_head(representations).reshape(-1)
         return mask * y1 + (1.0 - mask) * y0

@@ -226,8 +226,20 @@ def _open_checkpoint(path: Union[str, Path], mmap_mode: Optional[str]) -> tuple:
     return archive, meta
 
 
+def _model_config(meta: dict) -> ModelConfig:
+    """The archived :class:`ModelConfig`, minus the one retired field.
+
+    Archives written while training could run on a compile-and-replay tape
+    record which of the two paths trained them.  Both paths trained
+    bit-identical parameters, so that key is dropped and such archives load
+    unchanged.  Any other unknown key still raises ``TypeError``.
+    """
+    fields = {key: value for key, value in meta["model_config"].items() if key != "backend"}
+    return ModelConfig(**fields)
+
+
 def _load_cerl_from(archive: dict, meta: dict) -> CERL:
-    model_config = ModelConfig(**meta["model_config"])
+    model_config = _model_config(meta)
     continual_config = ContinualConfig(**meta["continual_config"])
     learner = CERL(meta["n_features"], model_config, continual_config)
 
@@ -344,7 +356,7 @@ def load_estimator(path: Union[str, Path], mmap_mode: Optional[str] = None):
 
     from .api import make_estimator
 
-    model_config = ModelConfig(**meta["model_config"])
+    model_config = _model_config(meta)
     continual_config = (
         ContinualConfig(**meta["continual_config"])
         if meta.get("continual_config")

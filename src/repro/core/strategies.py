@@ -17,22 +17,20 @@ call delegates to :class:`~repro.core.baseline.BaselineCausalModel`, whose
 optimisation runs on the shared :class:`repro.engine.Trainer`.
 
 The estimator surface (protocol, registry, ``make_estimator``) lives in
-:mod:`repro.core.api`; :func:`make_strategy` and :data:`STRATEGY_NAMES` are
-kept here as deprecated aliases for the paper-strategy subset.
+:mod:`repro.core.api`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.dataset import CausalDataset
 from ..metrics import EffectEstimate
-from .api import ContinualEstimator, estimator_names
+from .api import ContinualEstimator
 from .baseline import BaselineCausalModel
-from .config import ContinualConfig, ModelConfig
+from .config import ModelConfig
 from .persistence import _extract, _flatten_state
 
 __all__ = [
@@ -40,13 +38,7 @@ __all__ = [
     "CFRStrategyA",
     "CFRStrategyB",
     "CFRStrategyC",
-    "make_strategy",
-    "STRATEGY_NAMES",
 ]
-
-#: Deprecated alias: the paper-strategy subset of the estimator registry.
-#: Derived (not duplicated) so it can never drift from the registry.
-STRATEGY_NAMES = estimator_names(tag="paper")
 
 
 class _CFRStrategyBase:
@@ -201,25 +193,3 @@ class CFRStrategyC(_CFRStrategyBase):
     def stored_raw_units(self) -> int:
         """Raw units retained across observations (all of them, by design)."""
         return int(sum(len(d) for d in self._seen))
-
-
-def make_strategy(
-    name: str,
-    n_features: int,
-    model_config: Optional[ModelConfig] = None,
-    continual_config: Optional[ContinualConfig] = None,
-) -> ContinualEstimator:
-    """Deprecated: use :func:`repro.core.api.make_estimator` instead.
-
-    Kept as a back-compat shim for the PR-1-era factory; it delegates to the
-    estimator registry (so it now also accepts the meta-learner names) and
-    emits a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "make_strategy is deprecated; use repro.core.api.make_estimator",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import make_estimator
-
-    return make_estimator(name, n_features, model_config, continual_config)

@@ -10,8 +10,7 @@ causal inference; the core learners express their objectives as
 """
 
 from .history import TrainingHistory
-from .loss import LossBundle, LossResult
-from .backend import EagerEnv, TapeExecutor, TraceableLoss, TraceEnv
+from .loss import LossBundle, LossResult, TraceableLoss
 from .callbacks import Callback, Checkpoint, EarlyStopping, History
 from .trainer import Trainer, TrainerState, iterate
 from .validation import mse_validator
@@ -21,9 +20,6 @@ __all__ = [
     "LossBundle",
     "LossResult",
     "TraceableLoss",
-    "EagerEnv",
-    "TraceEnv",
-    "TapeExecutor",
     "Callback",
     "Checkpoint",
     "EarlyStopping",

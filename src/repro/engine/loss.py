@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 from ..nn import Tensor
 
-__all__ = ["LossBundle", "LossResult"]
+__all__ = ["LossBundle", "LossResult", "TraceableLoss"]
 
 
 @dataclass
@@ -73,10 +73,6 @@ class LossBundle:
             total = term if total is None else total + term
         return total
 
-    def terms(self) -> List[tuple]:
-        """The ``(name, tensor)`` pairs in insertion order (tape compilation)."""
-        return list(zip(self._names, self._values))
-
     def components(self) -> Dict[str, float]:
         """Raw (unweighted) scalar value of every term, keyed by name."""
         return {name: float(value.item()) for name, value in zip(self._names, self._values)}
@@ -87,3 +83,16 @@ class LossBundle:
         total = self.total()
         components["total"] = float(total.item())
         return LossResult(total=total, components=components)
+
+
+class TraceableLoss:
+    """Retired marker class; no learner builds one.
+
+    Learners hand :meth:`repro.engine.Trainer.fit` a plain
+    ``batch_loss(batch) -> LossResult`` closure.  The name stays importable
+    only because the benchmark's span tracer (``perfbench/tracing.py``)
+    imports it and checks ``isinstance(batch_loss, TraceableLoss)`` before
+    reading ``Trainer.backend``, an attribute the single eager training path
+    no longer has; since nothing constructs this class, that branch never
+    runs.
+    """

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..data.dataset import minibatches
 from ..nn import Optimizer, clip_grad_norm
-from .backend import TraceableLoss
 from .callbacks import Callback
 from .loss import LossResult
 
@@ -92,11 +91,6 @@ class Trainer:
         :class:`repro.nn.StepLR`), advanced once per epoch.
     callbacks:
         :class:`Callback` objects invoked in order at every hook.
-    backend:
-        ``"eager"`` (default) evaluates the batch loss step by step;
-        ``"tape"`` compiles a :class:`~repro.engine.backend.TraceableLoss`
-        once per feed signature and replays it allocation-free (gradients and
-        trajectories bit-identical to eager — see ``repro.nn.tape``).
     """
 
     # Exposed so callers can route convergence-style fitting "through the
@@ -113,13 +107,9 @@ class Trainer:
         rng: Optional[np.random.Generator] = None,
         scheduler: Optional[object] = None,
         callbacks: Sequence[Callback] = (),
-        backend: str = "eager",
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if backend not in ("eager", "tape"):
-            raise ValueError(f"unknown training backend '{backend}'")
-        self.backend = backend
         self.parameters = list(parameters)
         self.optimizer = optimizer
         self.batch_size = batch_size
@@ -150,12 +140,6 @@ class Trainer:
             raise ValueError("n_units must be positive")
         if epochs <= 0:
             raise ValueError("epochs must be positive")
-        if isinstance(batch_loss, TraceableLoss):
-            batch_loss = batch_loss.bind(self.backend)
-        elif self.backend == "tape":
-            raise TypeError(
-                "backend='tape' requires the batch loss to be a TraceableLoss"
-            )
         state = self.state = TrainerState()
         self._dispatch("on_train_begin", state)
         for epoch in range(epochs):

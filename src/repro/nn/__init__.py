@@ -22,7 +22,6 @@ from .layers import (
     make_activation,
 )
 from .optim import Optimizer, SGD, Adam, StepLR, CosineAnnealingLR, clip_grad_norm
-from .tape import Tape, Trace, TraceError, TraceTensor, PredicateFlip
 from .losses import (
     mse_loss,
     mae_loss,
@@ -59,11 +58,6 @@ __all__ = [
     "StepLR",
     "CosineAnnealingLR",
     "clip_grad_norm",
-    "Tape",
-    "Trace",
-    "TraceError",
-    "TraceTensor",
-    "PredicateFlip",
     "mse_loss",
     "mae_loss",
     "binary_cross_entropy",

@@ -108,15 +108,10 @@ class CosineNormLinear(Module):
         self.weight = Parameter(init.xavier_normal(rng, in_features, out_features), name="weight")
 
     def forward(self, x: Tensor) -> Tensor:
-        # Unlike the matmul layers, this forward *initiates* operations on the
-        # raw weight Parameter (its column norms), so under a tape trace the
-        # weight must be lifted explicitly rather than via operator dispatch.
-        trace = getattr(x, "_trace", None)
-        weight = self.weight if trace is None else trace.lift(self.weight)
         # Row norms of the input and column norms of the weights.
         x_norm = x.norm(axis=1, keepdims=True, eps=self.eps)
-        w_norm = weight.norm(axis=0, keepdims=True, eps=self.eps)
-        dot = x @ weight
+        w_norm = self.weight.norm(axis=0, keepdims=True, eps=self.eps)
+        dot = x @ self.weight
         return dot / (x_norm @ w_norm)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
@@ -245,11 +240,6 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:
             return x
-        trace = getattr(x, "_trace", None)
-        if trace is not None:
-            # Record the draw as a host op so replays consume the shared
-            # generator stream at exactly this position in the step.
-            return x * trace.dropout_mask(self._rng, self.p, x.shape)
         keep = 1.0 - self.p
         mask = (self._rng.random(x.shape) < keep).astype(np.float64) / keep
         return x * Tensor(mask)

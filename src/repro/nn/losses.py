@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .module import Parameter
-from .tape import current_trace
 from .tensor import Tensor
 
 __all__ = [
@@ -64,11 +63,6 @@ def elastic_net_penalty(parameters: Iterable[Parameter | Tensor], l1_ratio: floa
     params = list(parameters)
     if not params:
         raise ValueError("elastic_net_penalty received no parameters")
-    trace = current_trace()
-    if trace is not None:
-        # The penalty initiates ops on raw Parameters, so there is no traced
-        # operand to dispatch on; lift them into the recording trace instead.
-        params = [trace.lift(param) for param in params]
     total: Tensor | None = None
     for param in params:
         l2 = (param * param).sum()

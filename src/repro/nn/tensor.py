@@ -754,10 +754,6 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concatenate() requires at least one tensor")
-    if any(getattr(t, "_trace", None) is not None for t in tensors):
-        from .tape import trace_concatenate
-
-        return trace_concatenate(tensors, axis=axis)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)

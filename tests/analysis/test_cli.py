@@ -140,7 +140,7 @@ class TestRuleSelection:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
+        for rule in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
             assert rule in out
 
     def test_rule_filter_scopes_the_run(self, tmp_path):

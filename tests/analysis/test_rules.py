@@ -552,71 +552,3 @@ class TestAtomicWrites:
             """,
             ["RPR005"],
         )
-
-
-# --------------------------------------------------------------------------- #
-# RPR006 — tape-traceability
-# --------------------------------------------------------------------------- #
-class TestTapeTraceability:
-    def test_rng_draw_in_feeds_flagged(self):
-        findings = check(
-            "src/repro/nn/fixture.py",
-            """
-            class Dropout:
-                def feeds(self, x):
-                    return {"mask": self._rng.uniform(size=x.shape)}
-            """,
-            ["RPR006"],
-        )
-        assert len(findings) == 1
-        assert "RNG draw" in findings[0].message
-
-    def test_numpy_random_call_in_feeds_flagged(self):
-        findings = check(
-            "src/repro/nn/fixture.py",
-            """
-            import numpy as np
-
-            class Layer:
-                def feeds(self, x):
-                    return {"noise": np.random.default_rng(0).normal()}
-            """,
-            ["RPR006"],
-        )
-        assert findings and all(f.rule == "RPR006" for f in findings)
-
-    def test_state_mutation_in_feeds_flagged(self):
-        findings = check(
-            "src/repro/nn/fixture.py",
-            """
-            class Layer:
-                def feeds(self, x):
-                    self._last_shape = x.shape
-                    return {}
-            """,
-            ["RPR006"],
-        )
-        assert len(findings) == 1
-        assert "mutates module state" in findings[0].message
-
-    def test_pure_feeds_clean(self):
-        assert not check(
-            "src/repro/nn/fixture.py",
-            """
-            class Layer:
-                def feeds(self, x):
-                    return {"x": x, "scale": self.scale}
-            """,
-            ["RPR006"],
-        )
-
-    def test_rng_outside_feeds_clean(self):
-        assert not check(
-            "src/repro/nn/fixture.py",
-            """
-            class Layer:
-                def forward(self, x, rng):
-                    return rng.uniform(size=x.shape)
-            """,
-            ["RPR006"],
-        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,13 @@ from repro.core import (
     RidgeTLearner,
     ipw_ate,
     load_cerl,
+    load_estimator,
+    make_estimator,
     naive_ate,
     save_cerl,
 )
 from repro.data import CausalDataset, DomainStream
+from repro.serve import ModelRegistry
 
 
 def make_confounded_dataset(n: int = 600, seed: int = 0) -> CausalDataset:
@@ -270,3 +275,72 @@ class TestPersistence:
         assert target.read_bytes() == good_bytes  # old checkpoint untouched
         assert list(tmp_path.iterdir()) == [target]  # no temp debris
         assert load_cerl(target).domains_seen == learner.domains_seen
+
+
+def _stamp_model_config(path, **fields) -> None:
+    """Rewrite an archive's ``meta_json`` with extra ``model_config`` keys."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+    meta["model_config"].update(fields)
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+class TestArchivesWithRetiredBackendKey:
+    """Archives store ``asdict(model_config)``, so every archive written while
+    ``ModelConfig`` had a ``backend`` field carries that key; both of its
+    values trained bit-identical parameters, so such archives must load and
+    predict exactly like the learner that was saved."""
+
+    @pytest.fixture
+    def stream(self, tiny_domains):
+        return DomainStream(list(tiny_domains), seed=0)
+
+    def _save(self, name, stream, model_config, continual_config, tmp_path, **fields):
+        learner = make_estimator(name, stream.n_features, model_config, continual_config)
+        learner.observe(stream.train_data(0), epochs=2)
+        registry = ModelRegistry(tmp_path / "registry")
+        path = registry.save("stream", 0, learner).path
+        _stamp_model_config(path, **fields)
+        return learner, registry, path
+
+    @pytest.mark.parametrize("backend", ["eager", "tape"])
+    @pytest.mark.parametrize("name", ["CERL", "R-learner"])
+    def test_archive_with_backend_key_loads_bit_identically(
+        self, name, backend, stream, fast_model_config, fast_continual_config, tmp_path
+    ):
+        learner, registry, path = self._save(
+            name, stream, fast_model_config, fast_continual_config, tmp_path, backend=backend
+        )
+        restored = [load_estimator(path), registry.load("stream")]
+        if name == "CERL":
+            restored.append(load_cerl(path))
+        probe = stream[0].test.covariates
+        expected = learner.predict(probe)
+        for candidate in restored:
+            assert type(candidate) is type(learner)
+            assert candidate.model_config == learner.model_config
+            prediction = candidate.predict(probe)
+            np.testing.assert_array_equal(prediction.y0_hat, expected.y0_hat)
+            np.testing.assert_array_equal(prediction.y1_hat, expected.y1_hat)
+
+    @pytest.mark.parametrize("name", ["CERL", "R-learner"])
+    def test_other_unknown_model_config_keys_still_raise(
+        self, name, stream, fast_model_config, fast_continual_config, tmp_path
+    ):
+        _, registry, path = self._save(
+            name,
+            stream,
+            fast_model_config,
+            fast_continual_config,
+            tmp_path,
+            backend="eager",
+            warm_restarts=3,
+        )
+        loaders = [lambda: load_estimator(path), lambda: registry.load("stream")]
+        if name == "CERL":
+            loaders.append(lambda: load_cerl(path))
+        for load in loaders:
+            with pytest.raises(TypeError, match="warm_restarts"):
+                load()

@@ -114,7 +114,6 @@ class TestRegistry:
 
     def test_strategy_listings_derive_from_registry(self):
         """Every table's column set is the registry's view, never a literal."""
-        from repro.core.strategies import STRATEGY_NAMES
         from repro.experiments import (
             CONFOUNDING_ESTIMATORS,
             TABLE1_ESTIMATORS,
@@ -125,7 +124,6 @@ class TestRegistry:
 
         paper = estimator_names(tag="paper")
         everything = estimator_names()
-        assert STRATEGY_NAMES == paper
         assert TABLE1_STRATEGIES == paper
         assert TABLE2_STRATEGIES == paper
         assert TABLE1_ESTIMATORS == everything

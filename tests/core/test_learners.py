@@ -121,14 +121,3 @@ class TestCrossfitParallelism:
         np.testing.assert_array_equal(candidate.y0_hat, reference.y0_hat)
         np.testing.assert_array_equal(candidate.y1_hat, reference.y1_hat)
         np.testing.assert_array_equal(candidate.ite_hat, reference.ite_hat)
-
-
-class TestTapeBackend:
-    @pytest.mark.parametrize("cls", [SLearner, RLearner])
-    def test_tape_backend_matches_eager_bitwise(self, cls, stream, fast_model_config):
-        eager = _fit(cls, stream, fast_model_config)
-        taped = _fit(cls, stream, fast_model_config.with_updates(backend="tape"))
-        probe = stream[0].test.covariates
-        np.testing.assert_array_equal(
-            eager.predict_ite(probe), taped.predict_ite(probe)
-        )

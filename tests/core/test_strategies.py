@@ -11,9 +11,8 @@ from repro.core import (
     CFRStrategyB,
     CFRStrategyC,
     ContinualEstimator,
-    STRATEGY_NAMES,
+    estimator_names,
     make_estimator,
-    make_strategy,
 )
 from repro.data import DomainStream
 
@@ -24,7 +23,7 @@ def stream(tiny_domains):
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    @pytest.mark.parametrize("name", estimator_names(tag="paper"))
     def test_make_estimator_builds_all_names(self, name, fast_model_config, fast_continual_config):
         learner = make_estimator(name, 19, fast_model_config, fast_continual_config)
         assert isinstance(learner, ContinualEstimator)
@@ -36,11 +35,6 @@ class TestFactory:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             make_estimator("CFR-D", 10)
-
-    def test_make_strategy_shim_warns_and_delegates(self, fast_model_config):
-        with pytest.warns(DeprecationWarning, match="make_estimator"):
-            learner = make_strategy("CFR-A", 10, fast_model_config)
-        assert isinstance(learner, CFRStrategyA)
 
 
 class TestStrategyA:
@@ -92,7 +86,7 @@ class TestStrategyC:
 
 
 class TestCommonProtocol:
-    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    @pytest.mark.parametrize("name", estimator_names(tag="paper"))
     def test_observe_predict_evaluate_cycle(
         self, name, stream, fast_model_config, fast_continual_config
     ):

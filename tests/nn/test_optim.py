@@ -151,7 +151,7 @@ class TestPositionalState:
         assert np.all(np.abs(clone.data - first) > np.abs(first))
 
     def test_step_never_mutates_grad_buffers(self):
-        """The tape backend owns ``param.grad``; optimisers must not write it."""
+        """``step()`` leaves ``param.grad`` reading as the gradient it was given."""
         for optimizer_cls, kwargs in [
             (Adam, dict(lr=0.1, weight_decay=0.5)),
             (SGD, dict(lr=0.1, momentum=0.9, weight_decay=0.5)),
