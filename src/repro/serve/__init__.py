@@ -23,8 +23,9 @@ the model and representation memory persist):
 * :mod:`repro.serve.fleet` — the out-of-process tier: a
   :class:`~repro.serve.fleet.FleetManager` of shard worker *processes*
   (memory-mapped checkpoint loads, the same canonical-batch path —
-  bitwise identity across the process boundary) behind the asyncio
-  :class:`~repro.serve.fleet.MultiprocGateway` front door with per-tenant
+  bitwise identity across the process boundary) behind the
+  :class:`~repro.serve.fleet.MultiprocGateway` front door, which writes
+  from its callers' threads over blocking sockets and has per-tenant
   rate limits/quotas;
 * the end-to-end deployment protocol lives in
   :func:`repro.experiments.run_continual_deployment`, the drift-driven

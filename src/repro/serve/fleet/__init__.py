@@ -1,4 +1,4 @@
-"""Out-of-process shard fleet: multiprocess workers behind an asyncio front door.
+"""Out-of-process shard fleet: multiprocess workers behind a blocking-socket front door.
 
 The in-process :class:`~repro.serve.ServingGateway` scales to the thread
 limit of one interpreter; this package crosses the process boundary while
@@ -7,13 +7,15 @@ keeping every serving contract intact:
 * :mod:`.wire` — the pickle-free length-prefixed protocol (JSON header + raw
   float64 payload) with typed errors and before-allocation size limits;
 * :mod:`.worker` — the shard worker process: memory-mapped checkpoint loads,
-  the same canonical-batch micro-batcher as in-process serving (bitwise
-  identity across the boundary), pipelined per-connection request handling;
+  the same canonical batch execution as in-process serving (bitwise identity
+  across the boundary), each connection's pipelined reads batched and
+  answered on its own thread;
 * :mod:`.manager` — fleet lifecycle: spawn/drain/restart/kill worker
   processes with digest-stable stream assignment;
-* :mod:`.frontdoor` — :class:`MultiprocGateway`, the asyncio front door:
-  connection pooling, pipelining, the bitwise-transparent response cache,
-  and per-tenant rate limits/quotas with typed shedding.
+* :mod:`.frontdoor` — :class:`MultiprocGateway`: pooled blocking sockets
+  written from the callers' threads and read by one thread per connection,
+  pipelining, the bitwise-transparent response cache, and per-tenant rate
+  limits/quotas with typed shedding.
 """
 
 from .frontdoor import (

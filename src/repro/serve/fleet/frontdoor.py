@@ -1,4 +1,4 @@
-"""Asyncio front door over a fleet of out-of-process shard workers.
+"""Blocking-socket front door over a fleet of out-of-process shard workers.
 
 :class:`MultiprocGateway` is the process-fleet counterpart of
 :class:`~repro.serve.gateway.ServingGateway`: the same digest routing, the
@@ -8,20 +8,23 @@ in worker *processes* (spawned by :class:`~.manager.FleetManager`), reached
 over loopback sockets with the pickle-free wire protocol of :mod:`.wire`.
 
 Concurrency model: callers stay synchronous (``submit`` returns the familiar
-:class:`~repro.serve.service.PendingPrediction`), while all socket I/O runs
-on one background asyncio event loop.  ``submit`` only queues the query and,
-if no flush is pending, wakes the loop once; the loop writes everything
-queued since, in submit order, with one socket write per connection.  Each
-worker gets a small **connection pool**, and requests are **pipelined**: a
+:class:`~repro.serve.service.PendingPrediction`), and a query changes threads
+only where a socket forces it.  Each worker gets a small **connection pool**
+of blocking sockets, dialled on first use, and requests are **pipelined**: a
 connection carries many in-flight queries at once, tagged with request ids,
-so responses may return out of order and the worker's micro-batcher can
-coalesce queries from every tenant into canonical batches.  Each
-connection's reader takes whatever the worker has sent in one read and
-parses every complete frame in it (:class:`~.wire.FrameParser`); each
-response is decoded and its query resolved in turn, on the loop thread.  One
-stalled tenant therefore never serialises the fleet — and one *dead* worker
-fails only its own streams' queries (typed :class:`WorkerUnavailable`) while
-every other tenant keeps answering.
+so responses may return out of order and the worker can batch queries from
+every tenant.  ``submit`` encodes its query's frame into the connection's
+outbox on the caller's thread; whichever caller finds no send in progress
+sends everything queued with one ``sendall``, so a burst still costs one
+write.  One reader thread per connection takes whatever the worker has sent
+in one read and parses every complete frame in it
+(:class:`~.wire.FrameParser`); each response is decoded and its query
+resolved in turn, on that thread, which also runs the query's done-callbacks.
+The reader never writes, so a full socket buffer cannot deadlock the two
+ends; a done-callback must not submit or wait on the fleet for the same
+reason.  One stalled tenant therefore never serialises the fleet — and one
+*dead* worker fails only its own streams' queries (typed
+:class:`WorkerUnavailable`) while every other tenant keeps answering.
 
 Admission control grows a per-tenant dimension over PR 5's per-shard bound:
 
@@ -45,15 +48,15 @@ unchanged.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import contextlib
 import hashlib
+import socket
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from .wire import (
     READ_SIZE,
     WIRE_DTYPE,
     FrameParser,
+    WireError,
     decode_array,
     write_frame_async,
 )
@@ -239,44 +243,37 @@ class _Request:
 
 
 class _Connection:
-    """One pooled socket to a worker, carrying pipelined tagged requests."""
+    """One pooled blocking socket to a worker, carrying pipelined tagged requests.
 
-    __slots__ = ("reader", "writer", "pending", "next_id", "reader_task", "dead")
+    A submitting thread registers its request and encodes the frame into
+    ``outbox`` under ``lock``; the one that finds no send in progress sends
+    the outbox, and whatever joins it meanwhile, with one ``sendall`` per
+    pass.  The connection's reader thread pops answered requests.  ``dead``
+    is set once, under ``lock``, when the connection is dropped.
+    """
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.pending: Dict[int, _Request] = {}
-        self.next_id = 0
-        self.reader_task: Optional[asyncio.Task] = None
+    __slots__ = ("sock", "lock", "requests", "next_id", "outbox", "sending", "dead", "reader")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.lock = threading.Lock()
+        self.requests: Dict[int, _Request] = {}  # guarded-by: lock
+        self.next_id = 0  # guarded-by: lock
+        self.outbox: List[bytes] = []  # guarded-by: lock
+        self.sending = False  # guarded-by: lock
         self.dead = False
-
-
-class _FrameBatch:
-    """Writer stand-in that collects one connection's frames for one write."""
-
-    __slots__ = ("index", "parts", "ids")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.parts: List[bytes] = []
-        self.ids: List[int] = []
-
-    def write(self, data: bytes) -> None:
-        self.parts.append(data)
+        self.reader: Optional[threading.Thread] = None
 
 
 class _WorkerClient:
-    """Loop-side connection pool for one worker (round-robin, lazy dial)."""
+    """The connection pool of one worker (round-robin, dialled on first use)."""
 
-    __slots__ = ("index", "pool_size", "connections", "rr", "dial_lock")
+    __slots__ = ("lock", "connections", "rr")
 
-    def __init__(self, index: int, pool_size: int) -> None:
-        self.index = index
-        self.pool_size = pool_size
-        self.connections: List[_Connection] = []
-        self.rr = 0
-        self.dial_lock = asyncio.Lock()
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.connections: List[_Connection] = []  # guarded-by: lock
+        self.rr = 0  # guarded-by: lock
 
 
 class MultiprocGateway:
@@ -293,11 +290,12 @@ class MultiprocGateway:
         covers all its tenants).
     n_workers:
         Worker process count.
-    max_batch, max_wait_ms:
-        Canonical micro-batching knobs forwarded to every worker; must match
-        the in-process reference for bitwise parity.
+    max_batch:
+        Canonical execution size forwarded to every worker; must match the
+        in-process reference for bitwise parity.
     pool_size:
-        Sockets per worker; each carries pipelined tagged requests.
+        Sockets per worker; each carries pipelined tagged requests and has
+        one reader thread.
     max_pending_per_worker:
         Admission bound on in-flight queries per worker (None = unbounded).
     cache_capacity, cache_ttl_s:
@@ -309,6 +307,9 @@ class MultiprocGateway:
     manager:
         Pre-built :class:`FleetManager` (the gateway then does not own its
         lifecycle knobs); default builds one from the parameters above.
+    connect_timeout_s:
+        Deadline for dialling one pooled connection; a failed dial fails
+        the query with :class:`WorkerUnavailable`.
     clock:
         Monotonic time source, injectable for tests.
     """
@@ -319,7 +320,6 @@ class MultiprocGateway:
         streams: Optional[Sequence[str]] = None,
         n_workers: int = 2,
         max_batch: int = 128,
-        max_wait_ms: float = 0.0,
         pool_size: int = 2,
         max_pending_per_worker: Optional[int] = None,
         cache_capacity: int = 1024,
@@ -340,7 +340,6 @@ class MultiprocGateway:
                 streams,
                 n_workers=n_workers,
                 max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
                 start_method=start_method,
             )
         if pool_size < 1:
@@ -365,28 +364,8 @@ class MultiprocGateway:
         #: version each response actually reports (same contract as PR 5).
         self._versions: Dict[str, Optional[int]] = {}
         self._started = clock()
-        # Queries submitted but not yet written, in submit order, and
-        # whether a loop-side flush of them is already scheduled.
-        self._submit_lock = threading.Lock()
-        self._queued: List[Tuple[int, _Request, np.ndarray]] = []  # guarded-by: _submit_lock
-        self._flush_scheduled = False  # guarded-by: _submit_lock
-
+        self._clients = [_WorkerClient() for _ in range(manager.n_workers)]
         self.manager.start()
-        self._loop = asyncio.new_event_loop()
-        self._clients = [
-            _WorkerClient(i, pool_size) for i in range(manager.n_workers)
-        ]
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, name="repro-fleet-frontdoor", daemon=True
-        )
-        self._loop_thread.start()
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-        # Drain callbacks scheduled during shutdown, then close.
-        self._loop.run_until_complete(self._loop.shutdown_asyncgens())
-        self._loop.close()
 
     # ------------------------------------------------------------------ #
     # routing
@@ -463,12 +442,16 @@ class MultiprocGateway:
             pending=pending,
             shard=shard,
         )
-        with self._submit_lock:
-            self._queued.append((index, request, row))
-            wake = not self._flush_scheduled
-            self._flush_scheduled = True
-        if wake:
-            asyncio.run_coroutine_threadsafe(self._flush_queued(), self._loop)
+        header = {
+            "op": "predict",
+            "stream": stream,
+            "shape": [1, row.shape[0]],
+            "dtype": WIRE_DTYPE,
+        }
+        try:
+            self._send(index, request, header, row.tobytes())
+        except WorkerUnavailable as error:
+            self._resolve_error(request, error)
         return pending
 
     def predict_one(
@@ -501,125 +484,118 @@ class MultiprocGateway:
         return row
 
     # ------------------------------------------------------------------ #
-    # loop side: dispatch, pooling, pipelined reads
+    # connections: pooling, combined writes, pipelined reads
     # ------------------------------------------------------------------ #
-    async def _flush_queued(self) -> None:
-        """Write every queued query, in submit order, one write per connection.
+    def _send(self, index: int, request: _Request, header: dict, payload: bytes = b"") -> None:
+        """Register ``request`` on a pooled connection and write its frame.
 
-        Awaiting a connection suspends only while a worker's pool is still
-        being dialled; queries submitted meanwhile wake another flush.
+        The frame joins the connection's outbox.  If no other thread is
+        sending, this one sends the outbox, and whatever joins it meanwhile,
+        until it is empty.
         """
-        with self._submit_lock:
-            queued, self._queued = self._queued, []
-            self._flush_scheduled = False
-        batches: Dict[_Connection, _FrameBatch] = {}
-        for index, request, row in queued:
-            try:
-                connection = await self._connection(index)
-            except (FleetError, OSError, asyncio.TimeoutError) as error:
-                self._resolve_error(request, self._unavailable(index, error))
-                continue
+        connection = self._connection(index)
+        with connection.lock:
+            if connection.dead:
+                raise WorkerUnavailable(index, "connection lost")
             request_id = connection.next_id
-            connection.next_id += 1
-            connection.pending[request_id] = request
-            batch = batches.get(connection)
-            if batch is None:
-                batch = batches[connection] = _FrameBatch(index)
-            batch.ids.append(request_id)
-            write_frame_async(
-                batch,
-                {
-                    "op": "predict",
-                    "id": request_id,
-                    "stream": request.stream,
-                    "shape": [1, row.shape[0]],
-                    "dtype": WIRE_DTYPE,
-                },
-                row.tobytes(),
-            )
-        for connection, batch in batches.items():
-            connection.writer.write(b"".join(batch.parts))
-        for connection, batch in batches.items():
+            header["id"] = request_id
+            write_frame_async(connection.outbox, header, payload)
+            connection.next_id = request_id + 1
+            connection.requests[request_id] = request
+            if connection.sending:
+                return
+            connection.sending = True
+        while True:
+            with connection.lock:
+                data = b"".join(connection.outbox)
+                connection.outbox.clear()
+                if not data:
+                    connection.sending = False
+                    return
             try:
-                await connection.writer.drain()
-            except Exception as error:  # drain re-raises whatever the reader hit
-                for request_id in batch.ids:
-                    request = connection.pending.pop(request_id, None)
-                    if request is not None:
-                        self._resolve_error(request, self._unavailable(batch.index, error))
+                connection.sock.sendall(data)
+            except OSError as error:
+                # A dead connection takes no more frames, so ``sending`` can stay set.
+                self._drop(index, connection, f"{type(error).__name__}: {error}")
+                return
 
-    async def _dispatch_control(self, index: int, header: dict, request: _Request) -> None:
-        try:
-            connection = await self._connection(index)
-            request_id = connection.next_id
-            connection.next_id += 1
-            connection.pending[request_id] = request
-            write_frame_async(connection.writer, {**header, "id": request_id})
-            await connection.writer.drain()
-        except (FleetError, OSError, asyncio.TimeoutError) as error:
-            if not request.future.done():
-                request.future.set_exception(self._unavailable(index, error))
-
-    def _unavailable(self, index: int, error: BaseException) -> WorkerUnavailable:
-        if isinstance(error, WorkerUnavailable):
-            return error
-        return WorkerUnavailable(index, f"{type(error).__name__}: {error}")
-
-    async def _connection(self, index: int) -> _Connection:
+    def _connection(self, index: int) -> _Connection:
+        """A live pooled connection to worker ``index``; dials while the pool is short."""
         client = self._clients[index]
-        live = [c for c in client.connections if not c.dead]
-        if len(live) < client.pool_size:
-            async with client.dial_lock:
-                client.connections = [c for c in client.connections if not c.dead]
-                if len(client.connections) < client.pool_size:
-                    handle = self.manager.workers[index]
-                    if handle.port is None:
-                        raise WorkerUnavailable(index, "worker is not running")
-                    try:
-                        reader, writer = await asyncio.wait_for(
-                            asyncio.open_connection("127.0.0.1", handle.port),
-                            timeout=self._connect_timeout,
-                        )
-                    except (OSError, asyncio.TimeoutError) as error:
-                        raise self._unavailable(index, error) from error
-                    connection = _Connection(reader, writer)
-                    connection.reader_task = self._loop.create_task(
-                        self._read_responses(index, connection)
-                    )
-                    client.connections.append(connection)
-                live = [c for c in client.connections if not c.dead]
-        if not live:
-            raise WorkerUnavailable(index, "no live connections")
-        client.rr = (client.rr + 1) % len(live)
-        return live[client.rr]
+        with client.lock:
+            live = [c for c in client.connections if not c.dead]
+            if len(live) < self._pool_size:
+                if self._closed:
+                    raise WorkerUnavailable(index, "the front door is closed")
+                live.append(self._dial(index))
+            client.connections = live
+            client.rr = (client.rr + 1) % len(live)
+            return live[client.rr]
 
-    async def _read_responses(self, index: int, connection: _Connection) -> None:
+    def _dial(self, index: int) -> _Connection:
+        handle = self.manager.workers[index]
+        if handle.port is None:
+            raise WorkerUnavailable(index, "worker is not running")
+        try:
+            sock = socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=self._connect_timeout
+            )
+        except OSError as error:
+            raise WorkerUnavailable(index, f"{type(error).__name__}: {error}") from error
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        connection = _Connection(sock)
+        connection.reader = threading.Thread(
+            target=self._read_responses,
+            args=(index, connection),
+            name=f"repro-fleet-reader-{index}",
+            daemon=True,
+        )
+        connection.reader.start()
+        return connection
+
+    def _read_responses(self, index: int, connection: _Connection) -> None:
         # One read takes every response the worker has sent so far.  Each
         # frame is decoded and its query resolved before the next is
         # decoded, so a done-callback runs right after its own decode.
         parser = FrameParser()
         try:
             while True:
-                chunk = await connection.reader.read(READ_SIZE)
+                chunk = connection.sock.recv(READ_SIZE)
                 if not chunk:
                     parser.eof()
                     break
                 for header, payload in parser.feed(chunk):
                     self._deliver(connection, header, payload)
-        except (Exception, asyncio.CancelledError):
-            pass
+        except (OSError, WireError):
+            pass  # the worker died or broke the protocol: fail what is left
         finally:
+            self._drop(index, connection, "connection lost mid-request")
+            connection.sock.close()
+
+    def _drop(self, index: int, connection: _Connection, reason: str) -> None:
+        """Mark ``connection`` dead, shut its socket down and fail its requests."""
+        with connection.lock:
             connection.dead = True
-            with contextlib.suppress(Exception):
-                connection.writer.close()
-            failed, connection.pending = connection.pending, {}
-            for request in failed.values():
-                self._fail_request(
-                    request, WorkerUnavailable(index, "connection lost mid-request")
-                )
+            failed, connection.requests = connection.requests, {}
+            connection.outbox.clear()
+        with contextlib.suppress(OSError):
+            connection.sock.shutdown(socket.SHUT_RDWR)
+        for request in failed.values():
+            self._fail_request(request, WorkerUnavailable(index, reason))
+
+    def _hang_up(self, index: int, reason: str) -> None:
+        """Drop every connection to worker ``index`` and join its readers."""
+        client = self._clients[index]
+        with client.lock:
+            connections, client.connections = client.connections, []
+        for connection in connections:
+            self._drop(index, connection, reason)
+            connection.reader.join(timeout=10.0)
 
     def _deliver(self, connection: _Connection, header: dict, payload: bytes) -> None:
-        request = connection.pending.pop(header.get("id"), None)
+        with connection.lock:
+            request = connection.requests.pop(header.get("id"), None)
         if request is None:
             return  # late response for an already-failed request
         op = header.get("op")
@@ -686,10 +662,7 @@ class MultiprocGateway:
     # ------------------------------------------------------------------ #
     def _control(self, index: int, header: dict, timeout: float = 30.0) -> dict:
         future: concurrent.futures.Future = concurrent.futures.Future()
-        request = _Request("control", future=future)
-        asyncio.run_coroutine_threadsafe(
-            self._dispatch_control(index, header, request), self._loop
-        )
+        self._send(index, _Request("control", future=future), header)
         return future.result(timeout)
 
     def reload(self, stream: str, domain_index: Optional[int] = None) -> int:
@@ -743,31 +716,13 @@ class MultiprocGateway:
 
     def restart_worker(self, index: int) -> int:
         """Restart one worker slot and reconnect; returns the new port."""
-        asyncio.run_coroutine_threadsafe(
-            self._reset_client(index), self._loop
-        ).result(timeout=30.0)
-        port = self.manager.restart(index)
-        return port
-
-    async def _reset_client(self, index: int) -> None:
-        client = self._clients[index]
-        connections, client.connections = client.connections, []
-        for connection in connections:
-            connection.dead = True
-            if connection.reader_task is not None:
-                connection.reader_task.cancel()
-            with contextlib.suppress(Exception):
-                connection.writer.close()
-            failed, connection.pending = connection.pending, {}
-            for request in failed.values():
-                self._fail_request(
-                    request, WorkerUnavailable(index, "worker restarting")
-                )
+        self._hang_up(index, "worker restarting")
+        return self.manager.restart(index)
 
     def stats(self, include_worker_stats: bool = True) -> GatewayStats:
         """Fleet-wide :class:`GatewayStats` (same shape as the in-process gateway).
 
-        ``service`` counters come from the workers' own micro-batchers over
+        ``service`` counters come from the workers' own batch counters over
         the control channel, best-effort: a dead worker contributes zeros
         rather than failing the snapshot.
         """
@@ -808,18 +763,13 @@ class MultiprocGateway:
         return GatewayStats(shards=tuple(snapshots))
 
     def close(self) -> None:
-        """Fail in-flight work, stop the loop, and stop the worker fleet."""
+        """Fail in-flight work, hang up on every worker, and stop the fleet."""
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
         for index in range(self.n_workers):
-            with contextlib.suppress(Exception):
-                asyncio.run_coroutine_threadsafe(
-                    self._reset_client(index), self._loop
-                ).result(timeout=10.0)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(timeout=10.0)
+            self._hang_up(index, "the front door closed")
         self.manager.stop()
 
     def __enter__(self) -> "MultiprocGateway":

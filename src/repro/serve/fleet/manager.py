@@ -6,12 +6,13 @@ gateway uses (:class:`~repro.serve.gateway.ShardRouter`), so a stream lands
 on the same worker index in every process and across restarts.
 
 Start method defaults to ``spawn``: the manager lives in a threaded serving
-process (front-door pools, micro-batchers), and forking a threaded parent can
-inherit locks mid-acquisition — ``spawn`` sidesteps the whole class of
-deadlocks.  A spawned worker re-imports the package before it can serve, so
-:meth:`start` launches every worker process first and only then waits for
-them: the workers import side by side, and the fleet is up in roughly the
-time of its slowest worker rather than the sum of all of them.
+process (the front door's connection readers and its callers' threads), and
+forking a threaded parent can inherit locks mid-acquisition — ``spawn``
+sidesteps the whole class of deadlocks.  A spawned worker re-imports the
+package before it can serve, so :meth:`start` launches every worker process
+first and only then waits for them: the workers import side by side, and
+the fleet is up in roughly the time of its slowest worker rather than the
+sum of all of them.
 
 Each worker start performs a pipe handshake: the child sends
 ``("ready", port)`` once it is listening *and* its streams' checkpoints are
@@ -77,8 +78,9 @@ class FleetManager:
     n_workers:
         Worker process count (streams may share a worker, exactly as streams
         share a shard in-process).
-    max_batch, max_wait_ms, max_payload:
-        Forwarded to every worker's services / wire limits.
+    max_batch, max_payload:
+        Forwarded to every worker: its canonical execution size and its
+        per-frame payload limit.
     start_method:
         ``multiprocessing`` start method; default ``"spawn"`` (see module
         docstring).
@@ -94,7 +96,6 @@ class FleetManager:
         streams: Sequence[str],
         n_workers: int = 2,
         max_batch: int = 128,
-        max_wait_ms: float = 0.0,
         max_payload: Optional[int] = None,
         start_method: str = "spawn",
         startup_timeout_s: float = 60.0,
@@ -106,7 +107,6 @@ class FleetManager:
         self.registry_root = str(registry_root)
         self.router = ShardRouter(n_workers)
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_payload = max_payload
         self.startup_timeout_s = startup_timeout_s
         self._ctx = mp.get_context(start_method)
@@ -182,10 +182,7 @@ class FleetManager:
     def _launch(self, handle: WorkerHandle) -> Tuple[mp.process.BaseProcess, Connection]:
         """Start one worker process; returns it and the read end of its handshake pipe."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        kwargs = {
-            "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
-        }
+        kwargs = {"max_batch": self.max_batch}
         if self.max_payload is not None:
             kwargs["max_payload"] = self.max_payload
         process = self._ctx.Process(

@@ -46,7 +46,7 @@ import json
 import math
 import socket
 import struct
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -226,9 +226,13 @@ def write_frame(sock: socket.socket, header: dict, payload: bytes = b"") -> None
         sock.sendall(payload)
 
 
-def write_frame_async(writer, header: dict, payload: bytes = b"") -> None:
-    """Queue one frame on an asyncio writer, or any object with ``write`` (caller drains)."""
-    writer.write(encode_frame(header, payload))
+def write_frame_async(outbox: List[bytes], header: dict, payload: bytes = b"") -> None:
+    """Append one frame to a connection's outbox, which its owner sends in one write.
+
+    The front door encodes every frame it sends through this module-level
+    name, once per frame and on the submitting thread, so a tracer can wrap it.
+    """
+    outbox.append(encode_frame(header, payload))
 
 
 def _recv_exactly(sock: socket.socket, n: int, part: str) -> bytes:

@@ -7,25 +7,23 @@ and its assigned stream names, and it:
 * loads each stream's head checkpoint **zero-copy** from the shared registry
   (``registry.load(stream, mmap_mode='r')``) — N workers mapping the same
   archive share one page-cache copy of the model state;
-* serves queries through the exact same workspace-backed
-  :class:`~repro.serve.service.PredictionService` micro-batcher the
-  in-process gateway uses, so a worker's response is **bitwise identical** to
-  the in-process canonical-batch answer for the version it reports;
+* answers queries through the same canonical batch execution the in-process
+  :class:`~repro.serve.service.PredictionService` runs
+  (:class:`~repro.serve.service.ServedModel`: certificate, padding, model
+  lock), so a worker's response is **bitwise identical** to the in-process
+  canonical-batch answer for the version it reports;
 * speaks the length-prefixed wire protocol of :mod:`.wire` on a loopback TCP
   socket — JSON header + raw float64 payload, no pickle on the hot path.
 
-Requests are pipelined per connection: the connection thread reads whole
-chunks, parses every complete frame in them (:class:`~.wire.FrameParser`) and
-submits each query to the micro-batcher without waiting for results.  Each
-answer is encoded by the query's done-callback and queued on its
-connection's outbox; once the micro-batch that answered it has been
-delivered, the batcher's completion hook sends each connection's outbox with
-one ``sendall``.  Answers are tagged with the request ``id``, so they may
-complete out of order.  Queries from many front-door connections therefore
-coalesce into batches exactly as threads do in-process, and each batch is
-padded to a size certified to give the canonical answers.  Control replies,
-and the error frames of requests refused before they reach a batch, are
-written at once.
+Each accepted connection gets one thread, and that thread does all of the
+connection's work; the worker starts no other serving thread.  It reads whole
+chunks and parses every complete frame in them (:class:`~.wire.FrameParser`).
+The predicts of one read are grouped by stream in arrival order, and each
+group runs as one batch, or in chunks of at most ``max_batch`` rows.  Control
+ops are answered as they are parsed.  Every answer of the read then goes back
+with one ``sendall``, tagged with its request ``id``, so a burst of pipelined
+queries costs one batch per stream and one write, and answers may come back
+in another order than their requests.
 
 Ops (header ``"op"`` field):
 
@@ -37,16 +35,16 @@ Ops (header ``"op"`` field):
     Hot-swap one stream to a registry version (default: head) while every
     other stream keeps serving; replies ``reloaded`` with the new version.
 ``ping`` / ``stats`` / ``shutdown``
-    Liveness, micro-batcher counters, graceful exit.
+    Liveness, batch counters, graceful exit.
 ``chaos``
     Failure injection for the SLO harness: ``{"op": "chaos", "delay_ms": X}``
     installs a per-query straggler delay (0 clears it); replies ``chaos_set``.
     The delay runs through an injectable hook so tests can observe it
     without sleeping.
 
-Any per-request failure is answered with an ``error`` frame carrying the
-exception type name and message; the connection — and every other stream —
-keeps serving.
+Any per-request failure, including a batch whose model raises, is answered
+with an ``error`` frame per request carrying the exception type name and
+message; the connection — and every other stream — keeps serving.
 """
 
 from __future__ import annotations
@@ -59,8 +57,10 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..registry import ModelRegistry
-from ..service import PredictionService
+from ..service import ServedModel
 from .wire import (
     DEFAULT_MAX_PAYLOAD_BYTES,
     READ_SIZE,
@@ -69,48 +69,20 @@ from .wire import (
     WireError,
     decode_array,
     encode_frame,
-    write_frame,
 )
-
-import numpy as np
 
 __all__ = ["worker_main", "WorkerServer"]
 
 
-class _Connection:
-    """One accepted front-door connection with a serialised writer.
-
-    Answers wait in the outbox until :meth:`flush` sends them together;
-    :meth:`send` writes a frame at once.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.write_lock = threading.Lock()
-        self.outbox: List[bytes] = []  # guarded-by: write_lock
-
-    def send(self, header: dict, payload: bytes = b"") -> None:
-        with self.write_lock:
-            write_frame(self.sock, header, payload)
-
-    def queue(self, frame: bytes) -> None:
-        with self.write_lock:
-            self.outbox.append(frame)
-
-    def flush(self) -> None:
-        """Send every queued frame with one ``sendall``; drop them if the peer is gone."""
-        with self.write_lock:
-            if not self.outbox:
-                return
-            data = b"".join(self.outbox)
-            self.outbox.clear()
-            with contextlib.suppress(OSError):
-                self.sock.sendall(data)
-
-    def close(self) -> None:
-        with contextlib.suppress(OSError):
-            self.sock.shutdown(socket.SHUT_RDWR)
-        self.sock.close()
+def _error_frame(request_id, error: BaseException) -> bytes:
+    return encode_frame(
+        {
+            "op": "error",
+            "id": request_id,
+            "error": type(error).__name__,
+            "message": str(error),
+        }
+    )
 
 
 class WorkerServer:
@@ -122,19 +94,21 @@ class WorkerServer:
         Root directory of the shared :class:`~repro.serve.ModelRegistry`.
     streams:
         Stream names this worker owns; each one's head version is loaded
-        (memory-mapped) into its own :class:`PredictionService` at startup.
-    max_batch, max_wait_ms:
-        Micro-batching knobs — ``max_batch`` is the canonical execution size
-        and must match the in-process reference for bitwise parity.  Each
-        service pads a batch to the smallest power-of-two size it certified
-        on this worker's BLAS to answer like ``max_batch`` rows (or to
-        ``max_batch``), so the answers stay canonical.
+        (memory-mapped) into its own :class:`~repro.serve.service.ServedModel`
+        at startup.
+    max_batch:
+        The canonical execution size; it must match the in-process reference
+        for bitwise parity.  A read's predicts for one stream run in chunks of
+        at most ``max_batch`` rows, each padded to the smallest power-of-two
+        size the model certified on this worker's BLAS to answer like
+        ``max_batch`` rows (or to ``max_batch``), so the answers stay
+        canonical.
     max_payload:
         Per-frame payload ceiling enforced before allocation.
     delay_hook:
-        Called with the installed straggler delay (seconds) before each
-        predict submit while a ``chaos`` delay is active.  Defaults to
-        ``time.sleep``; injectable so tests can assert the straggler path
+        Called with the installed straggler delay (seconds) for each predict
+        frame, before batching, while a ``chaos`` delay is active.  Defaults
+        to ``time.sleep``; injectable so tests can assert the straggler path
         without wall-clock waits.
     """
 
@@ -143,7 +117,6 @@ class WorkerServer:
         registry_root: str,
         streams: Tuple[str, ...],
         max_batch: int = 128,
-        max_wait_ms: float = 0.0,
         max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES,
         mmap_mode: Optional[str] = "r",
         delay_hook: Callable[[float], None] = time.sleep,
@@ -152,20 +125,18 @@ class WorkerServer:
         self.max_payload = max_payload
         self.mmap_mode = mmap_mode
         self._conn_lock = threading.Lock()
-        self._connections: list = []  # guarded-by: _conn_lock
-        self.services: Dict[str, PredictionService] = {}
+        self._connections: List[socket.socket] = []  # guarded-by: _conn_lock
+        self.models: Dict[str, ServedModel] = {}
         for stream in streams:
             entry = self.registry.entry(stream)
             learner = self.registry.load(
                 stream, entry.domain_index, mmap_mode=mmap_mode
             )
-            self.services[stream] = PredictionService(
-                learner,
-                model_version=entry.domain_index,
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                on_delivered=self._flush_outboxes,
-            )
+            self.models[stream] = ServedModel(learner, entry.domain_index, max_batch)
+        self._stats_lock = threading.Lock()
+        self._queries = 0  # guarded-by: _stats_lock
+        self._batches = 0  # guarded-by: _stats_lock
+        self._largest_batch = 0  # guarded-by: _stats_lock
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind(("127.0.0.1", 0))
@@ -193,12 +164,11 @@ class WorkerServer:
                 except OSError:
                     break  # listener closed by shutdown()
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                connection = _Connection(sock)
                 with self._conn_lock:
-                    self._connections.append(connection)
+                    self._connections.append(sock)
                 thread = threading.Thread(
                     target=self._serve_connection,
-                    args=(connection,),
+                    args=(sock,),
                     name="repro-fleet-conn",
                     daemon=True,
                 )
@@ -208,7 +178,7 @@ class WorkerServer:
             self._close_all()
 
     def shutdown(self) -> None:
-        """Stop accepting, drop connections and drain the micro-batchers."""
+        """Stop accepting and drop every connection."""
         if self._stop.is_set():
             return
         self._stop.set()
@@ -221,33 +191,44 @@ class WorkerServer:
     def _close_all(self) -> None:
         with self._conn_lock:
             connections, self._connections = self._connections, []
-        for connection in connections:
-            connection.close()
+        for sock in connections:
+            _close(sock)
         for thread in self._threads:
             thread.join(timeout=5.0)
-        for service in self.services.values():
-            service.close()
 
     # ------------------------------------------------------------------ #
     # per-connection protocol
     # ------------------------------------------------------------------ #
-    def _flush_outboxes(self) -> None:
-        """Send every connection's queued answers (the batchers' completion hook)."""
-        with self._conn_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            connection.flush()
-
-    def _serve_connection(self, connection: _Connection) -> None:
+    def _serve_connection(self, sock: socket.socket) -> None:
         parser = FrameParser(self.max_payload)
         try:
             while True:
-                chunk = connection.sock.recv(READ_SIZE)
+                chunk = sock.recv(READ_SIZE)
                 if not chunk:
                     parser.eof()
                     break
+                replies: List[bytes] = []
+                predicts: Dict[str, List[Tuple[object, np.ndarray]]] = {}
+                stopping = False
                 for header, payload in parser.feed(chunk):
-                    self._handle(connection, header, payload)
+                    op = header.get("op")
+                    try:
+                        if op == "predict":
+                            stream, row = self._predict_row(header, payload)
+                            predicts.setdefault(stream, []).append((header["id"], row))
+                        else:
+                            replies.append(self._control(op, header))
+                            stopping = stopping or op == "shutdown"
+                    except WireError:
+                        raise  # connection-fatal: handled below
+                    except Exception as error:  # answered, not fatal: the worker lives on
+                        replies.append(_error_frame(header.get("id"), error))
+                for stream, queries in predicts.items():
+                    self._answer(self.models[stream], queries, replies)
+                if replies:
+                    sock.sendall(b"".join(replies))
+                if stopping:
+                    self.shutdown()
         except WireError:
             # A malformed or truncated frame poisons only its connection:
             # the peer reconnects, every other connection keeps serving.
@@ -255,77 +236,19 @@ class WorkerServer:
         except OSError:
             pass
         finally:
-            connection.close()
+            _close(sock)
             with self._conn_lock:
-                if connection in self._connections:
-                    self._connections.remove(connection)
+                if sock in self._connections:
+                    self._connections.remove(sock)
 
-    def _handle(self, connection: _Connection, header: dict, payload: bytes) -> None:
-        op = header.get("op")
-        request_id = header.get("id")
-        try:
-            if op == "predict":
-                self._handle_predict(connection, header, payload)
-            elif op == "reload":
-                version = self._reload(
-                    header["stream"], header.get("domain_index")
-                )
-                connection.send(
-                    {"op": "reloaded", "id": request_id, "model_version": version}
-                )
-            elif op == "ping":
-                connection.send(
-                    {
-                        "op": "pong",
-                        "id": request_id,
-                        "pid": os.getpid(),
-                        "streams": sorted(self.services),
-                    }
-                )
-            elif op == "stats":
-                totals = {"queries": 0, "batches": 0, "largest_batch": 0}
-                for service in self.services.values():
-                    stats = service.stats()
-                    totals["queries"] += stats.queries
-                    totals["batches"] += stats.batches
-                    totals["largest_batch"] = max(
-                        totals["largest_batch"], stats.largest_batch
-                    )
-                connection.send({"op": "stats", "id": request_id, **totals})
-            elif op == "chaos":
-                delay_ms = float(header.get("delay_ms", 0.0))
-                if delay_ms < 0:
-                    raise ValueError("delay_ms must be non-negative")
-                self._chaos_delay_s = delay_ms / 1000.0
-                connection.send(
-                    {"op": "chaos_set", "id": request_id, "delay_ms": delay_ms}
-                )
-            elif op == "shutdown":
-                connection.send({"op": "bye", "id": request_id})
-                self.shutdown()
-            else:
-                raise ValueError(f"unknown op {op!r}")
-        except WireError:
-            raise  # connection-fatal: handled by the read loop
-        except Exception as error:  # answered, not fatal: the worker lives on
-            connection.send(
-                {
-                    "op": "error",
-                    "id": request_id,
-                    "error": type(error).__name__,
-                    "message": str(error),
-                }
-            )
-
-    def _handle_predict(
-        self, connection: _Connection, header: dict, payload: bytes
-    ) -> None:
+    def _predict_row(self, header: dict, payload: bytes) -> Tuple[str, np.ndarray]:
+        """The stream and validated query row of one predict frame."""
         stream = header.get("stream")
-        service = self.services.get(stream)
-        if service is None:
+        model = self.models.get(stream)
+        if model is None:
             raise KeyError(
                 f"stream {stream!r} is not served by this worker "
-                f"(owns: {sorted(self.services)})"
+                f"(owns: {sorted(self.models)})"
             )
         rows = decode_array(header, payload)
         if rows.ndim != 2 or rows.shape[0] != 1:
@@ -333,64 +256,91 @@ class WorkerServer:
                 f"a predict frame carries exactly one query row; "
                 f"got shape {tuple(rows.shape)}"
             )
-        request_id = header["id"]
+        row = model.as_row(rows)
         delay = self._chaos_delay_s
         if delay > 0:
             # Straggler injection: stall on the connection thread, *before*
-            # the micro-batcher, so the slow shard delays only its own
-            # streams' queries — co-batched tenants on other workers are
-            # untouched, which is the isolation property the SLO harness
-            # measures.
+            # batching, so the slow shard delays only its own streams'
+            # queries — co-batched tenants on other workers are untouched,
+            # which is the isolation property the SLO harness measures.
             self._delay_hook(delay)
-        pending = service.submit(rows[0])
+        return stream, row
 
-        def respond(done) -> None:
-            # Runs on the micro-batcher's dispatcher thread during delivery;
-            # the batch's completion hook sends the outbox.  Out-of-order
-            # completion is fine — the id pairs it back up.
-            if done._error is not None:
-                frame = encode_frame(
-                    {
-                        "op": "error",
-                        "id": request_id,
-                        "error": type(done._error).__name__,
-                        "message": str(done._error),
-                    }
+    def _answer(
+        self, model: ServedModel, queries: List[Tuple[object, np.ndarray]], replies: List[bytes]
+    ) -> None:
+        """Run one stream's queries in canonical batches; append an answer each."""
+        for start in range(0, len(queries), model.max_batch):
+            batch = queries[start : start + model.max_batch]
+            with self._stats_lock:
+                self._queries += len(batch)
+                self._batches += 1
+                self._largest_batch = max(self._largest_batch, len(batch))
+            try:
+                mu0, mu1, ite, version = model.run(np.stack([row for _, row in batch]))
+            except Exception as error:  # every query of the batch answers typed
+                for request_id, _ in batch:
+                    replies.append(_error_frame(request_id, error))
+                continue
+            answers = np.stack([mu0, mu1, ite], axis=1)
+            for (request_id, _), answer in zip(batch, answers):
+                replies.append(
+                    encode_frame(
+                        {
+                            "op": "result",
+                            "id": request_id,
+                            "model_version": version,
+                            "shape": [3],
+                            "dtype": WIRE_DTYPE,
+                        },
+                        answer.tobytes(),
+                    )
                 )
-            else:
-                result = done._result
-                answer = np.array(
-                    [result.mu0, result.mu1, result.ite], dtype=np.float64
-                )
-                frame = encode_frame(
-                    {
-                        "op": "result",
-                        "id": request_id,
-                        "model_version": result.model_version,
-                        "shape": [3],
-                        "dtype": WIRE_DTYPE,
-                    },
-                    answer.tobytes(),
-                )
-            connection.queue(frame)
 
-        pending.add_done_callback(respond)
-        if pending.done():
-            # The batch may have been delivered before the callback was
-            # attached: then it ran right here, after the batch's completion
-            # hook, and nothing else would send its answer.
-            connection.flush()
+    def _control(self, op, header: dict) -> bytes:
+        """The reply frame of one control op."""
+        request_id = header.get("id")
+        if op == "reload":
+            version = self._reload(header["stream"], header.get("domain_index"))
+            return encode_frame({"op": "reloaded", "id": request_id, "model_version": version})
+        if op == "ping":
+            return encode_frame(
+                {"op": "pong", "id": request_id, "pid": os.getpid(), "streams": sorted(self.models)}
+            )
+        if op == "stats":
+            with self._stats_lock:
+                totals = {
+                    "queries": self._queries,
+                    "batches": self._batches,
+                    "largest_batch": self._largest_batch,
+                }
+            return encode_frame({"op": "stats", "id": request_id, **totals})
+        if op == "chaos":
+            delay_ms = float(header.get("delay_ms", 0.0))
+            if delay_ms < 0:
+                raise ValueError("delay_ms must be non-negative")
+            self._chaos_delay_s = delay_ms / 1000.0
+            return encode_frame({"op": "chaos_set", "id": request_id, "delay_ms": delay_ms})
+        if op == "shutdown":
+            return encode_frame({"op": "bye", "id": request_id})
+        raise ValueError(f"unknown op {op!r}")
 
     def _reload(self, stream: str, domain_index: Optional[int]) -> int:
-        service = self.services.get(stream)
-        if service is None:
+        model = self.models.get(stream)
+        if model is None:
             raise KeyError(f"stream {stream!r} is not served by this worker")
         entry = self.registry.entry(stream, domain_index)
         learner = self.registry.load(
             stream, entry.domain_index, mmap_mode=self.mmap_mode
         )
-        service.swap_model(learner, model_version=entry.domain_index)
+        model.swap(learner, model_version=entry.domain_index)
         return entry.domain_index
+
+
+def _close(sock: socket.socket) -> None:
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+    sock.close()
 
 
 def worker_main(
@@ -398,7 +348,6 @@ def worker_main(
     streams: Tuple[str, ...],
     conn,
     max_batch: int = 128,
-    max_wait_ms: float = 0.0,
     max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES,
 ) -> None:
     """Process entry point: build a :class:`WorkerServer` and serve forever.
@@ -413,7 +362,6 @@ def worker_main(
             registry_root,
             tuple(streams),
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             max_payload=max_payload,
         )
     except Exception as error:

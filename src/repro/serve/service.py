@@ -34,12 +34,17 @@ outputs are dropped) to the smallest certified size that holds it, or to
 which cannot be probed — so every answer still equals the canonical one and
 cache keys, drift windows and bitwise references stay valid.
 
-Certification runs on the dispatcher thread, under the model lock, in the
-same lock hold as the batch it precedes; a swap only resets the certificate.
-So ``swap_model`` and the direct :meth:`PredictionService.predict` path stay
-O(1), every batch is padded per the certificate of the model that executes
-it, and a probe that raises fails that batch like any failed execution (the
-next batch tries again).
+Certification runs on the thread that executes a batch, under the model
+lock, in the same lock hold as the batch it precedes; a swap only resets the
+certificate.  So ``swap_model`` and the direct
+:meth:`PredictionService.predict` path stay O(1), every batch is padded per
+the certificate of the model that executes it, and a probe that raises fails
+that batch like any failed execution (the next batch tries again).
+
+:class:`ServedModel` is the one home of that canonical execution: the
+learner, its version, its certificate and the model lock, the padded batch
+run and the swap.  :class:`PredictionService` runs it from its batcher's
+dispatcher thread; a fleet worker runs it from each connection thread.
 """
 
 from __future__ import annotations
@@ -53,7 +58,14 @@ import numpy as np
 
 from ..metrics import EffectEstimate
 
-__all__ = ["MicroBatcher", "PendingPrediction", "Prediction", "PredictionService", "ServiceStats"]
+__all__ = [
+    "MicroBatcher",
+    "PendingPrediction",
+    "Prediction",
+    "PredictionService",
+    "ServedModel",
+    "ServiceStats",
+]
 
 
 @dataclass(frozen=True)
@@ -167,12 +179,6 @@ class MicroBatcher:
         reaches the hook, so taps (drift monitors) only ever see answered
         queries.  A hook exception is delivered to the batch's callers like
         an execution failure.
-    on_delivered:
-        Optional hook ``on_delivered()`` invoked on the dispatcher thread
-        once every handle of an executed batch has been resolved and its
-        done-callbacks have run — after failed batches too.  A fleet worker
-        uses it to send all of a batch's answers together.  Like a
-        done-callback it must be cheap and must not raise.
     """
 
     def __init__(
@@ -181,7 +187,6 @@ class MicroBatcher:
         max_batch: int = 128,
         max_wait_ms: float = 0.0,
         on_batch: Optional[Callable[[np.ndarray], None]] = None,
-        on_delivered: Optional[Callable[[], None]] = None,
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
@@ -189,7 +194,6 @@ class MicroBatcher:
             raise ValueError("max_wait_ms must be non-negative")
         self._run_batch = run_batch
         self._on_batch = on_batch
-        self._on_delivered = on_delivered
         self.max_batch = max_batch
         self.max_wait = max_wait_ms / 1000.0
         self._queue: List[Tuple[np.ndarray, PendingPrediction]] = []  # guarded-by: _cond
@@ -279,8 +283,6 @@ class MicroBatcher:
         except BaseException as error:  # deliver, don't kill the dispatcher
             for _, pending in batch:
                 pending._set_error(error)
-        if self._on_delivered is not None:
-            self._on_delivered()
 
 
 #: Seed of the probe rows a learner's pad sizes are certified on.
@@ -332,6 +334,125 @@ def _certify(learner, n_features: Optional[int], max_batch: int) -> Tuple[int, .
     return tuple(certified)
 
 
+class ServedModel:
+    """One served learner and its canonical batch execution.
+
+    Holds the learner, the version stamped on its answers, its certificate
+    of pad sizes and the model lock.  :meth:`run` answers a stacked batch of
+    query rows as a ``max_batch``-row execution would, padding to a certified
+    size (see the module docstring); :meth:`swap` replaces the learner
+    atomically with respect to running batches.  It starts no thread: the
+    caller's thread runs every batch.
+
+    Parameters
+    ----------
+    learner:
+        Any fitted learner exposing ``predict(covariates) -> EffectEstimate``.
+    model_version:
+        Version tag stamped on answers (the registry's domain index).
+    max_batch:
+        The canonical execution size, and the most rows :meth:`run` takes.
+    """
+
+    def __init__(self, learner, model_version: Optional[int] = None, max_batch: int = 128) -> None:
+        if max_batch <= 0:
+            raise ValueError("max_batch must be positive")
+        self.max_batch = max_batch
+        self._model_lock = threading.Lock()
+        self._learner = learner  # guarded-by: _model_lock
+        self._model_version = model_version  # guarded-by: _model_lock
+        self._n_features = self._learner_features(learner)  # guarded-by: _model_lock
+        # Certified pad sizes of the serving learner; None until its first
+        # batch certifies it.
+        self._certified = None  # guarded-by: _model_lock
+
+    @staticmethod
+    def _learner_features(learner) -> Optional[int]:
+        return getattr(learner, "n_features", None)
+
+    def swap(self, learner, model_version: Optional[int] = None) -> None:
+        """Replace the served learner atomically w.r.t. running batches."""
+        n_features = self._learner_features(learner)
+        with self._model_lock:
+            self._learner = learner
+            self._model_version = model_version
+            self._n_features = n_features
+            self._certified = None
+
+    @property
+    def version(self) -> Optional[int]:
+        """Version tag of the learner currently serving."""
+        with self._model_lock:
+            return self._model_version
+
+    @property
+    def version_hint(self) -> Optional[int]:
+        """Lock-free read of the version tag (may lag an in-flight swap).
+
+        The model lock is held for the whole batch execution, so readers
+        that only need an *advisory* version — the gateway's cache-key
+        lookup — must not take it on the submit path.  A stale hint costs at
+        most one cache miss; cache fills key by the version the response
+        actually reports, never by this hint.
+        """
+        return self._model_version
+
+    @property
+    def certified_sizes(self) -> Optional[Tuple[int, ...]]:
+        """Pad sizes below ``max_batch`` certified for the serving learner."""
+        with self._model_lock:
+            return self._certified
+
+    def as_row(self, covariates: np.ndarray) -> np.ndarray:
+        """One query's covariates as a private 1-D row, or ``ValueError``."""
+        row = np.asarray(covariates, dtype=np.float64)
+        if row.ndim == 2 and row.shape[0] == 1:
+            row = row[0]
+        if row.ndim != 1:
+            raise ValueError(
+                f"a single-unit query must be a 1-D covariate vector "
+                f"(or a (1, p) array); got shape {row.shape}"
+            )
+        expected = self._n_features
+        if expected is not None and row.shape[0] != expected:
+            raise ValueError(
+                f"query has {row.shape[0]} covariates, model expects {expected}"
+            )
+        # Snapshot the row: a batch reads it later, and a client that reuses
+        # one buffer across asynchronous submits must not have queued
+        # queries silently follow the buffer's later contents.
+        return row.copy()
+
+    def predict(self, covariates: np.ndarray) -> EffectEstimate:
+        """Direct batched prediction under the model lock (no padding)."""
+        with self._model_lock:
+            return self._learner.predict(covariates)
+
+    def run(self, stacked: np.ndarray):
+        """Canonical answers ``(mu0, mu1, ite, version)`` for ``stacked``'s rows.
+
+        ``stacked`` holds at most ``max_batch`` rows.  The per-row arrays are
+        bitwise identical to those rows of a direct ``max_batch``-row
+        ``predict`` by the learner whose version is returned.
+        """
+        with self._model_lock:
+            # Certify under the same lock hold that executes, so a batch is
+            # padded per the certificate of the model that answers it even
+            # when a swap lands between submit and execution.  A probe that
+            # raises fails this batch and leaves the next one to retry.
+            if self._certified is None:
+                self._certified = _certify(self._learner, self._n_features, self.max_batch)
+            size = next(
+                (fit for fit in self._certified if fit >= len(stacked)), self.max_batch
+            )
+            estimate = self._learner.predict(_pad(stacked, size))
+            version = self._model_version
+        # ite is elementwise over rows, so per-row results stay bitwise
+        # identical to a direct batched predict over the same units.
+        n = len(stacked)
+        return estimate.y0_hat[:n], estimate.y1_hat[:n], estimate.ite_hat[:n], version
+
+
 class PredictionService:
     """Long-lived ITE prediction service over one (hot-swappable) learner.
 
@@ -356,8 +477,6 @@ class PredictionService:
         smallest power-of-two size the serving learner is certified to answer
         bitwise like ``max_batch`` rows, or to ``max_batch`` itself (see the
         module docstring and :attr:`certified_sizes`).
-    on_delivered:
-        Batch completion hook, passed to :class:`MicroBatcher`.
     """
 
     def __init__(
@@ -366,23 +485,15 @@ class PredictionService:
         model_version: Optional[int] = None,
         max_batch: int = 128,
         max_wait_ms: float = 0.0,
-        on_delivered: Optional[Callable[[], None]] = None,
     ) -> None:
-        self._model_lock = threading.Lock()
-        self._learner = learner  # guarded-by: _model_lock
-        self._model_version = model_version  # guarded-by: _model_lock
-        self._n_features = self._learner_features(learner)  # guarded-by: _model_lock
-        # Certified pad sizes of the serving learner; None until its first
-        # micro-batch certifies it on the dispatcher thread.
-        self._certified = None  # guarded-by: _model_lock
+        self._model = ServedModel(learner, model_version, max_batch)
         self._observer_lock = threading.Lock()
         self._observers: List[Callable[[np.ndarray], None]] = []  # guarded-by: _observer_lock
         self._batcher = MicroBatcher(
-            self._run_batch,
+            self._model.run,
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             on_batch=self._notify_observers,
-            on_delivered=on_delivered,
         )
 
     # ------------------------------------------------------------------ #
@@ -410,18 +521,12 @@ class PredictionService:
 
     def swap_model(self, learner, model_version: Optional[int] = None) -> None:
         """Replace the served learner atomically w.r.t. in-flight batches."""
-        n_features = self._learner_features(learner)
-        with self._model_lock:
-            self._learner = learner
-            self._model_version = model_version
-            self._n_features = n_features
-            self._certified = None
+        self._model.swap(learner, model_version)
 
     @property
     def model_version(self) -> Optional[int]:
         """Version tag of the learner currently serving."""
-        with self._model_lock:
-            return self._model_version
+        return self._model.version
 
     @property
     def certified_sizes(self) -> Optional[Tuple[int, ...]]:
@@ -431,20 +536,12 @@ class PredictionService:
         ``()`` when no power-of-two size reproduces the ``max_batch``
         answers or the learner has no ``n_features`` to draw a probe with.
         """
-        with self._model_lock:
-            return self._certified
+        return self._model.certified_sizes
 
     @property
     def version_hint(self) -> Optional[int]:
-        """Lock-free read of the version tag (may lag an in-flight swap).
-
-        The model lock is held by the dispatcher for the whole batch
-        execution, so readers that only need an *advisory* version — the
-        gateway's cache-key lookup — must not take it on the submit path.
-        A stale hint costs at most one cache miss; cache fills key by the
-        version the response actually reports, never by this hint.
-        """
-        return self._model_version
+        """Lock-free read of the version tag (see :attr:`ServedModel.version_hint`)."""
+        return self._model.version_hint
 
     # ------------------------------------------------------------------ #
     # traffic observers
@@ -491,7 +588,7 @@ class PredictionService:
         Traffic observers are notified by the batcher's post-execution hook,
         not here: a query only enters drift windows once it was answered.
         """
-        return self._batcher.submit(self._as_row(covariates))
+        return self._batcher.submit(self._model.as_row(covariates))
 
     def predict_one(
         self, covariates: np.ndarray, timeout: Optional[float] = None
@@ -507,8 +604,7 @@ class PredictionService:
         correctly against hot swaps.
         """
         covariates = np.asarray(covariates, dtype=np.float64)
-        with self._model_lock:
-            estimate = self._learner.predict(covariates)
+        estimate = self._model.predict(covariates)
         # Notify only after a successful prediction, mirroring the batcher
         # hook: queries that were never answered must not enter drift
         # windows.  Observers get a read-only view — the caller's array
@@ -532,47 +628,3 @@ class PredictionService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _learner_features(learner) -> Optional[int]:
-        return getattr(learner, "n_features", None)
-
-    def _as_row(self, covariates: np.ndarray) -> np.ndarray:
-        row = np.asarray(covariates, dtype=np.float64)
-        if row.ndim == 2 and row.shape[0] == 1:
-            row = row[0]
-        if row.ndim != 1:
-            raise ValueError(
-                f"a single-unit query must be a 1-D covariate vector "
-                f"(or a (1, p) array); got shape {row.shape}"
-            )
-        expected = self._n_features
-        if expected is not None and row.shape[0] != expected:
-            raise ValueError(
-                f"query has {row.shape[0]} covariates, model expects {expected}"
-            )
-        # Snapshot the row: the dispatcher reads it later, and a client that
-        # reuses one buffer across asynchronous submits must not have queued
-        # queries silently follow the buffer's later contents.
-        return row.copy()
-
-    def _run_batch(self, stacked: np.ndarray):
-        with self._model_lock:
-            # Certify under the same lock hold that executes, so a batch is
-            # padded per the certificate of the model that answers it even
-            # when a swap lands between submit and execution.  A probe that
-            # raises fails this batch and leaves the next one to retry.
-            max_batch = self._batcher.max_batch
-            if self._certified is None:
-                self._certified = _certify(self._learner, self._n_features, max_batch)
-            size = next(
-                (fit for fit in self._certified if fit >= len(stacked)), max_batch
-            )
-            estimate = self._learner.predict(_pad(stacked, size))
-            version = self._model_version
-        # ite is elementwise over rows, so per-row results stay bitwise
-        # identical to a direct batched predict over the same units.
-        return estimate.y0_hat, estimate.y1_hat, estimate.ite_hat, version

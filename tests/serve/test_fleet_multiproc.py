@@ -5,22 +5,28 @@ Two layers are pinned here:
 * :class:`WorkerServer` — exercised in-process (served from a thread, spoken
   to over a raw loopback socket) so the worker's protocol edge cases are
   testable without forking: one-row predicts, typed error frames, pipelined
-  out-of-order completion, and survival of malformed/oversized/truncated
+  out-of-order completion, the predicts of one read batched per stream and
+  answered with one write, and survival of malformed/oversized/truncated
   frames (the poisoned connection dies, the worker lives).
 * :class:`MultiprocGateway` — real spawned worker processes behind the
-  asyncio front door: bitwise identity across the process boundary, the
-  response cache, per-tenant rate limits and quotas (typed shedding), hot
-  swaps through the ``AdaptationController``-compatible handle, and the
-  kill/restart lifecycle.
+  blocking-socket front door: bitwise identity across the process boundary,
+  writes combined from the callers' threads, the response cache, per-tenant
+  rate limits and quotas (typed shedding), hot swaps through the
+  ``AdaptationController``-compatible handle, and the kill/restart/close
+  lifecycle.
 """
 
 from __future__ import annotations
 
 import copy
 import multiprocessing as mp
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +37,6 @@ from repro.experiments.multiproc import _spanning_names
 from repro.serve import (
     ModelRegistry,
     MultiprocGateway,
-    PendingPrediction,
     ShardRouter,
     TenantPolicy,
 )
@@ -43,7 +48,13 @@ from repro.serve.fleet import (
     WorkerServer,
     WorkerUnavailable,
 )
-from repro.serve.fleet.wire import WIRE_DTYPE, encode_frame, read_frame, write_frame
+from repro.serve.fleet.wire import (
+    WIRE_DTYPE,
+    FrameParser,
+    encode_frame,
+    read_frame,
+    write_frame,
+)
 
 _PREFIX = struct.Struct(">II")
 
@@ -140,6 +151,10 @@ def roundtrip(sock, header: dict, payload: bytes = b""):
     return read_frame(sock)
 
 
+def predict_frame(setup, request_id: int, rows: np.ndarray, stream=None) -> bytes:
+    return encode_frame(predict_header(setup, request_id, rows, stream), rows.tobytes())
+
+
 class TestWorkerProtocol:
     def test_predict_is_bitwise_identical_to_in_process(self, setup, worker):
         with connect(worker) as sock:
@@ -204,29 +219,115 @@ class TestWorkerProtocol:
             assert answers[index][2] == setup.reference.ite_hat[index]
         assert 0 < len(writes) < len(indices)
 
-    def test_answer_is_sent_when_its_batch_was_delivered_first(
+    def test_one_read_is_batched_per_stream_and_answered_bitwise(self, setup):
+        """16 predicts for each of two streams and a ping in one write: every
+        answer pairs by id and is bit-exact, and the predicts ran in far
+        fewer batches than queries."""
+        streams = setup.names[:2]
+        server = WorkerServer(setup.root, tuple(streams), max_batch=len(setup.bank))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            queries = {
+                request_id: (streams[request_id % 2], request_id)
+                for request_id in range(32)
+            }
+            burst = [
+                predict_frame(setup, request_id, setup.bank[index : index + 1], stream)
+                for request_id, (stream, index) in queries.items()
+            ]
+            burst.insert(16, encode_frame({"op": "ping", "id": 99}))
+            answers, pong = {}, None
+            with connect(server) as sock:
+                sock.sendall(b"".join(burst))
+                for _ in range(len(burst)):
+                    header, payload = read_frame(sock)
+                    if header["op"] == "pong":
+                        pong = header
+                        continue
+                    assert header["op"] == "result"
+                    answers[header["id"]] = (header["model_version"], payload)
+                stats, _ = roundtrip(sock, {"op": "stats", "id": 100})
+        finally:
+            server.shutdown()
+            thread.join(timeout=5.0)
+        assert pong is not None and pong["id"] == 99
+        assert sorted(answers) == sorted(queries)
+        for request_id, (_, index) in queries.items():
+            version, payload = answers[request_id]
+            reference = setup.reference_v1 if version == 1 else setup.reference
+            mu0, mu1, ite = np.frombuffer(payload, dtype=np.float64)
+            assert (mu0, mu1, ite) == (
+                reference.y0_hat[index],
+                reference.y1_hat[index],
+                reference.ite_hat[index],
+            )
+        assert stats["op"] == "stats" and stats["queries"] == 32
+        assert 0 < stats["batches"] < stats["queries"]
+
+    def test_bad_frames_in_a_read_answer_typed_and_the_rest_bitwise(self, setup, worker):
+        good = {0: 3, 2: 8, 4: 15}
+        burst = [
+            predict_frame(setup, request_id, setup.bank[index : index + 1])
+            for request_id, index in good.items()
+        ]
+        burst.insert(1, predict_frame(setup, 1, setup.bank[:1], stream="nobody"))
+        burst.insert(3, predict_frame(setup, 3, setup.bank[:2]))
+        with connect(worker) as sock:
+            sock.sendall(b"".join(burst))
+            frames = {}
+            for _ in range(len(burst)):
+                header, payload = read_frame(sock)
+                frames[header["id"]] = (header, payload)
+            assert frames[1][0]["op"] == "error" and frames[1][0]["error"] == "KeyError"
+            assert frames[3][0]["op"] == "error" and frames[3][0]["error"] == "ValueError"
+            for request_id, index in good.items():
+                header, payload = frames[request_id]
+                assert header["op"] == "result"
+                assert np.frombuffer(payload, dtype=np.float64)[2] == setup.reference.ite_hat[index]
+            # The connection keeps serving.
+            assert roundtrip(sock, {"op": "ping", "id": 5})[0]["op"] == "pong"
+            rows = setup.bank[9:10]
+            header, payload = roundtrip(sock, predict_header(setup, 6, rows), rows.tobytes())
+            assert np.frombuffer(payload, dtype=np.float64)[2] == setup.reference.ite_hat[9]
+
+    def test_batch_whose_model_raises_answers_each_query_typed(
         self, setup, worker, monkeypatch
     ):
-        """A handle resolved before the worker attaches its done-callback runs
-        the callback on the connection thread, after any batch hook could
-        send it: the connection thread must send that answer itself."""
-        service = worker.services[setup.names[0]]
-        submit = service.submit
+        learner = worker.models[setup.names[0]]._learner
+        predict = learner.predict
+        calls = []
 
-        def submit_resolved(row):
-            resolved = PendingPrediction()
-            resolved._set_result(submit(row).result(timeout=10.0))
-            return resolved
+        def explode_once(covariates):
+            calls.append(len(covariates))
+            if len(calls) == 1:
+                raise RuntimeError("model exploded")
+            return predict(covariates)
 
-        monkeypatch.setattr(service, "submit", submit_resolved)
-        with connect(worker) as sock:
-            sock.settimeout(3.0)
-            rows = setup.bank[4:5]
-            header, payload = roundtrip(
-                sock, predict_header(setup, 1, rows), rows.tobytes()
+        monkeypatch.setattr(learner, "predict", explode_once)
+        indices = [4, 6, 12]
+
+        def burst():
+            return b"".join(
+                predict_frame(setup, index, setup.bank[index : index + 1]) for index in indices
             )
-        assert header["op"] == "result" and header["id"] == 1
-        assert np.frombuffer(payload, dtype=np.float64)[2] == setup.reference.ite_hat[4]
+
+        with connect(worker) as sock:
+            sock.sendall(burst())
+            failed = [read_frame(sock)[0] for _ in indices]
+            assert sorted(header["id"] for header in failed) == indices
+            for header in failed:
+                assert header["op"] == "error" and header["error"] == "RuntimeError"
+                assert "model exploded" in header["message"]
+            sock.sendall(burst())
+            for _ in indices:
+                header, payload = read_frame(sock)
+                assert header["op"] == "result"
+                mu0, mu1, ite = np.frombuffer(payload, dtype=np.float64)
+                index = header["id"]
+                assert mu0 == setup.reference.y0_hat[index]
+                assert mu1 == setup.reference.y1_hat[index]
+                assert ite == setup.reference.ite_hat[index]
 
     def test_zero_row_predict_answers_typed_error(self, setup, worker):
         with connect(worker) as sock:
@@ -491,6 +592,155 @@ class TestMultiprocGateway:
         response = gateway.predict_one(other, setup.bank[2], timeout=60.0)
         assert response.model_version == 0
         assert setup.matches(response, 2)
+
+
+# --------------------------------------------------------------------------- #
+# front-door I/O: combined writes from the callers' threads, reader threads
+# --------------------------------------------------------------------------- #
+def fleet_threads(exclude=()) -> list:
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-fleet") and thread not in exclude
+    ]
+
+
+@pytest.mark.slow
+class TestFrontDoorIO:
+    def test_submits_during_a_send_join_the_next_write(self, setup, monkeypatch):
+        """While one caller is inside ``sendall``, 8 more submits from another
+        thread return at once; their frames leave in one write, in submit
+        order, and every answer is bitwise."""
+        name = setup.names[0]
+        with MultiprocGateway(
+            setup.root, [name], n_workers=1, max_batch=len(setup.bank),
+            pool_size=1, cache_capacity=0,
+        ) as gateway:
+            assert setup.matches(gateway.predict_one(name, setup.bank[0], timeout=60.0), 0)
+            writes: list = []
+            entered, release = threading.Event(), threading.Event()
+            sendall = socket.socket.sendall
+
+            def held(sock, data, *args):
+                writes.append(bytes(data))
+                if len(writes) == 1:
+                    entered.set()
+                    release.wait(30.0)
+                return sendall(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, "sendall", held)
+            pendings = {}
+            first = threading.Thread(
+                target=lambda: pendings.update({1: gateway.submit(name, setup.bank[1])})
+            )
+            first.start()
+            assert entered.wait(30.0)
+            burst = list(range(2, 10))
+            others = threading.Thread(
+                target=lambda: pendings.update(
+                    {index: gateway.submit(name, setup.bank[index]) for index in burst}
+                )
+            )
+            others.start()
+            others.join(timeout=10.0)
+            assert not others.is_alive()  # the submits did not wait for the send
+            assert len(writes) == 1
+            release.set()
+            first.join(timeout=30.0)
+            assert not first.is_alive()
+            for index, pending in pendings.items():
+                assert setup.matches(pending.result(timeout=60.0), index)
+            monkeypatch.undo()
+        assert len(writes) == 2
+        frames = list(FrameParser().feed(writes[1]))
+        assert [header["op"] for header, _ in frames] == ["predict"] * len(burst)
+        assert [payload for _, payload in frames] == [
+            setup.bank[index].tobytes() for index in burst
+        ]
+
+    def test_concurrent_submitters_lose_no_frame(self, setup, gateway):
+        """8 threads submit at once through the shared connections, with a
+        short switch interval: every query is answered, bitwise, and no
+        frame is left behind in an outbox."""
+        names = setup.names[:2]
+        n_threads = 8
+        blocks = [
+            np.random.default_rng(50 + thread).normal(size=setup.bank.shape)
+            for thread in range(n_threads)
+        ]
+        references = [
+            {0: setup.learner.predict(rows), 1: setup.learner_v1.predict(rows)}
+            for rows in blocks
+        ]
+        failures: list = []
+        barrier = threading.Barrier(n_threads, timeout=30.0)
+
+        def client(thread: int) -> None:
+            barrier.wait()
+            name = names[thread % 2]
+            pendings = [gateway.submit(name, row) for row in blocks[thread]]
+            for index, pending in enumerate(pendings):
+                response = pending.result(timeout=60.0)
+                if not setup.matches(response, index, references[thread][response.model_version]):
+                    failures.append((thread, index))
+
+        previous_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(t,)) for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(previous_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert gateway.stats(include_worker_stats=False).in_flight == 0
+
+    def test_close_resolves_every_in_flight_query_and_joins_its_threads(self, setup):
+        before = set(threading.enumerate())
+        names = setup.names[:2]
+        gateway = MultiprocGateway(
+            setup.root, names, n_workers=2, max_batch=len(setup.bank), cache_capacity=0
+        )
+        try:
+            for index in range(gateway.n_workers):
+                gateway.set_worker_delay(index, 25.0)
+            pendings = [
+                (index, gateway.submit(names[index % 2], setup.bank[index]))
+                for index in range(16)
+            ]
+            assert fleet_threads(before)  # the pooled connections' readers
+        finally:
+            gateway.close()
+        for index, pending in pendings:
+            assert pending.done()
+            try:
+                response = pending.result(timeout=0.0)
+            except WorkerUnavailable:
+                continue
+            reference = setup.reference_v1 if response.model_version == 1 else None
+            assert setup.matches(response, index, reference)
+        assert fleet_threads(before) == []
+
+
+def test_serving_imports_do_not_load_asyncio():
+    script = (
+        "import sys\n"
+        "import repro.serve\n"
+        "import repro.serve.fleet.worker\n"
+        "print('asyncio' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    output = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert output.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------------------- #

@@ -268,7 +268,7 @@ def read_async(data: bytes, **kwargs):
 
 
 class TestAsyncFraming:
-    """The front door's chunked asyncio reads enforce the identical contract."""
+    """Chunked reads from an asyncio stream through a parser enforce the identical contract."""
 
     def test_round_trip(self):
         rows = encode_rows(np.arange(4.0))

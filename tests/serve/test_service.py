@@ -306,40 +306,6 @@ class TestMicroBatcher:
         batcher.close()
         assert [p.result(timeout=1.0).mu0 for p in pendings] == [0.0, 1.0, 2.0]
 
-    def test_delivered_hook_runs_once_per_batch_after_every_handle(self):
-        entered = threading.Event()
-        release = threading.Event()
-        log: list = []
-
-        def run_batch(stacked):
-            entered.set()
-            release.wait(10.0)
-            if (stacked < 0).any():
-                raise RuntimeError("model exploded")
-            total = stacked.sum(axis=1)
-            return total, total, total, None
-
-        def on_delivered():
-            log.append(("hook", threading.get_ident()))
-
-        batcher = MicroBatcher(run_batch, max_batch=3, on_delivered=on_delivered)
-        # Batches: [0] (held in run_batch until release), [1, 2, 3], [4] (raises).
-        pendings = [batcher.submit(np.array([0.0]))]
-        assert entered.wait(10.0)
-        pendings += [batcher.submit(np.array([float(i)])) for i in (1, 2, 3, -4)]
-        for index, pending in enumerate(pendings):
-            pending.add_done_callback(
-                lambda done, index=index: log.append((index, threading.get_ident()))
-            )
-        release.set()
-        assert [p.result(timeout=10.0).mu0 for p in pendings[:4]] == [0.0, 1.0, 2.0, 3.0]
-        with pytest.raises(RuntimeError, match="model exploded"):
-            pendings[4].result(timeout=10.0)
-        batcher.close()
-        assert [entry for entry, _ in log] == [0, "hook", 1, 2, 3, "hook", 4, "hook"]
-        assert {ident for _, ident in log} == {batcher._thread.ident}
-        assert batcher.stats().batches == 3
-
     def test_invalid_parameters(self):
         run = lambda stacked: (None, None, None, None)  # noqa: E731
         with pytest.raises(ValueError):
